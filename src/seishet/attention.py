@@ -18,6 +18,7 @@ checked against the finite-difference oracle.
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DimensionError
 from .layers import Conv2d, Dense, glorot_init
@@ -124,12 +125,16 @@ class SeAttention:
         ]
 
 
-def _offset_maps(height, width):
-    """Tables mapping pixel pair (i, j) to shifted offsets jx-ix and jy-iy."""
-    iy, ix = np.divmod(np.arange(height * width), width)
-    offw = ix[None, :] - ix[:, None] + (width - 1)
-    offh = iy[None, :] - iy[:, None] + (height - 1)
-    return offw, offh
+def _relative_to_absolute(rel, size, axis):
+    """View out[..., i, ..., j] = rel[..., i, ..., size-1-i+j] without a copy.
+
+    rel is C-contiguous, its last axis holds offsets -(size-1)..size-1 and
+    `axis` indexes the query coordinate i. Distinct (i, j) map to distinct
+    elements, so backward scatters by writing through the view.
+    """
+    strides = list(rel.strides)
+    strides[axis] -= strides[-1]
+    return as_strided(rel[..., size - 1:], rel.shape[:-1] + (size,), strides)
 
 
 def _grid_from_tables(n_pos, rel_w, rel_h):
@@ -146,27 +151,33 @@ def _grid_from_tables(n_pos, rel_w, rel_h):
 
 
 def relative_logits(q, k, rel_w, rel_h):
-    """Content plus relative-position logits for one head, scaled by 1/sqrt(d).
+    """Content plus relative-position logits, scaled by 1/sqrt(d).
 
-    q, k: (H*W, d). rel_w: (2W-1, d) indexed by jx-ix+W-1, rel_h likewise
-    for vertical offsets. The grid size is inferred from the table lengths
-    so out-of-range offsets cannot occur.
+    q, k: (..., H*W, d). rel_w: (2W-1, d) indexed by jx-ix+W-1, rel_h
+    likewise for vertical offsets. The grid size is inferred from the table
+    lengths so out-of-range offsets cannot occur. On the (..., H, W, H, W)
+    view of the logits the width term is broadcast over jy, the height
+    term over jx.
     """
     q = np.asarray(q)
     k = np.asarray(k)
     rel_w = np.asarray(rel_w)
     rel_h = np.asarray(rel_h)
-    if q.shape != k.shape or q.ndim != 2:
-        raise DimensionError("q and k must share shape (HW,d)")
-    if rel_w.shape[1] != q.shape[1] or rel_h.shape[1] != q.shape[1]:
-        raise DimensionError("relative tables must match head dim %d" % q.shape[1])
-    height, width = _grid_from_tables(q.shape[0], rel_w, rel_h)
-    offw, offh = _offset_maps(height, width)
-    rows = np.arange(q.shape[0])[:, None]
-    logits = q @ k.T
-    logits = logits + (q @ rel_w.T)[rows, offw]
-    logits = logits + (q @ rel_h.T)[rows, offh]
-    return logits / math.sqrt(q.shape[1])
+    if q.shape != k.shape or q.ndim < 2:
+        raise DimensionError("q and k must share shape (..., HW, d)")
+    d = q.shape[-1]
+    if rel_w.shape[1] != d or rel_h.shape[1] != d:
+        raise DimensionError("relative tables must match head dim %d" % d)
+    height, width = _grid_from_tables(q.shape[-2], rel_w, rel_h)
+    lead = q.shape[:-2]
+    logits = q @ np.swapaxes(k, -1, -2)
+    grid = logits.reshape(lead + (height, width, height, width))
+    rw = (q @ rel_w.T).reshape(lead + (height, width, 2 * width - 1))
+    grid += _relative_to_absolute(rw, width, -2)[..., None, :]
+    rh = (q @ rel_h.T).reshape(lead + (height, width, 2 * height - 1))
+    grid += _relative_to_absolute(rh, height, -3)[..., None]
+    logits *= 1.0 / math.sqrt(d)
+    return logits
 
 
 def self_attention_head(q, k, v, rel_w, rel_h):
@@ -210,10 +221,6 @@ class RelativeSelfAttention2d:
         self.rel_w = init((2 * self.width - 1, self.dk_head))
         self.rel_h = init((2 * self.height - 1, self.dk_head))
 
-        offw, offh = _offset_maps(self.height, self.width)
-        self._offw = offw
-        self._offh = offh
-        self._rows = np.arange(self.height * self.width)[:, None]
         self._scale = 1.0 / math.sqrt(self.dk_head)
 
     def _check(self, x):
@@ -239,11 +246,8 @@ class RelativeSelfAttention2d:
         q = self._split_heads(xt @ self.wq, self.dk_head)
         k = self._split_heads(xt @ self.wk, self.dk_head)
         v = self._split_heads(xt @ self.wv, self.dv_head)
-        logits = q @ k.transpose(0, 1, 3, 2)
-        logits += (q @ self.rel_w.T)[:, :, self._rows, self._offw]
-        logits += (q @ self.rel_h.T)[:, :, self._rows, self._offh]
-        logits *= self._scale
-        attn = softmax_lastdim(logits)
+        logits = relative_logits(q, k, self.rel_w, self.rel_h)
+        attn = softmax_lastdim(logits, out=logits)
         heads_out = attn @ v
         ocat = heads_out.transpose(0, 2, 1, 3).reshape(b, n, self.d_v)
         y = (ocat @ self.wo).transpose(0, 2, 1).reshape(b, self.d_v, self.height, self.width)
@@ -263,22 +267,20 @@ class RelativeSelfAttention2d:
         gheads = gocat.reshape(b, n, self.heads, self.dv_head).transpose(0, 2, 1, 3)
         gattn = gheads @ v.transpose(0, 1, 3, 2)
         gv = attn.transpose(0, 1, 3, 2) @ gheads
-        glog = attn * (gattn - (gattn * attn).sum(axis=-1, keepdims=True))
+        glog = gattn
+        glog -= (gattn * attn).sum(axis=-1, keepdims=True)
+        glog *= attn
         glog *= self._scale
         gq = glog @ k
         gk = glog.transpose(0, 1, 3, 2) @ q
         glr = glog.reshape(b, self.heads, h, w, h, w)
-        gl_w = glr.sum(axis=4)
         gqw = np.zeros((b, self.heads, h, w, 2 * w - 1), dtype=glog.dtype)
-        for ix in range(w):
-            gqw[:, :, :, ix, w - 1 - ix:2 * w - 1 - ix] = gl_w[:, :, :, ix, :]
+        _relative_to_absolute(gqw, w, -2)[...] = glr.sum(axis=4)
         gqw = gqw.reshape(b, self.heads, n, 2 * w - 1)
         gq += gqw @ self.rel_w
         grel_w = gqw.reshape(-1, 2 * w - 1).T @ q.reshape(-1, self.dk_head)
-        gl_h = glr.sum(axis=5)
         gqh = np.zeros((b, self.heads, h, w, 2 * h - 1), dtype=glog.dtype)
-        for iy in range(h):
-            gqh[:, :, iy, :, h - 1 - iy:2 * h - 1 - iy] = gl_h[:, :, iy, :, :]
+        _relative_to_absolute(gqh, h, -3)[...] = glr.sum(axis=5)
         gqh = gqh.reshape(b, self.heads, n, 2 * h - 1)
         gq += gqh @ self.rel_h
         grel_h = gqh.reshape(-1, 2 * h - 1).T @ q.reshape(-1, self.dk_head)

@@ -2,10 +2,12 @@
 
 All spatial operators follow the cross-correlation convention (no kernel
 flip) and pad with zeros. Activations live in (batch, channel, height,
-width) order. Convolutions are evaluated as batched matrix products over an
-im2col layout, which keeps the heavy lifting inside BLAS; the backward
-passes reuse the same layout and are validated against the central
-difference oracle in numcore.
+width) order. A convolution unfolds its input into one channel-major
+im2col buffer (C*k*k, B*Ho*Wo): weight and column gradients are one GEMM
+each over the batch, forward one product per patch over strided views of
+it, and _col2im folds columns back; the transposed convolution runs that
+pair in reverse; 1x1 convolutions stay per patch on x's own view. Backward
+passes are checked against loop oracles and the central difference oracle.
 
 Each layer stores its parameters as plain numpy arrays. ``backward`` style
 methods take the forward input (or a cache from ``forward_cols``) plus the
@@ -42,45 +44,53 @@ def glorot_init(shape, prng, dtype=np.float32):
 
 
 def _im2col(x, kernel, stride, padding):
-    """Unfold (B,C,H,W) into (B, C*k*k, P) patch columns plus output dims."""
-    b, c, h, w = x.shape
-    if kernel == 1 and stride == 1 and padding == 0:
-        return x.reshape(b, c, h * w), h, w
+    """Unfold (B,C,H,W) into (C*k*k, B*Ho*Wo) columns plus output dims.
+
+    Row (c*k + i)*k + j, column (b*Ho + y)*Wo + x holds the padded input at
+    (b, c, y*stride + i, x*stride + j); overhanging windows are dropped.
+    """
+    b, c = x.shape[:2]
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    hp, wp = x.shape[2], x.shape[3]
-    if (hp - kernel) % stride or (wp - kernel) % stride:
-        raise DimensionError(
-            "spatial size %dx%d (padding %d) is not divisible for kernel %d stride %d"
-            % (h, w, padding, kernel, stride)
-        )
-    ho = (hp - kernel) // stride + 1
-    wo = (wp - kernel) // stride + 1
+    ho = (x.shape[2] - kernel) // stride + 1
+    wo = (x.shape[3] - kernel) // stride + 1
     s0, s1, s2, s3 = x.strides
     view = as_strided(
         x,
-        (b, c, kernel, kernel, ho, wo),
-        (s0, s1, s2, s3, s2 * stride, s3 * stride),
+        (c, kernel, kernel, b, ho, wo),
+        (s1, s2, s3, s0, s2 * stride, s3 * stride),
+        writeable=False,
     )
-    return view.reshape(b, c * kernel * kernel, ho * wo), ho, wo
+    return view.reshape(c * kernel * kernel, b * ho * wo), ho, wo
 
 
 def _col2im(gcols, x_shape, kernel, stride, padding):
-    """Adjoint of _im2col: scatter-add patch columns back onto the grid."""
+    """Adjoint of _im2col: scatter-add channel-major columns onto (B,C,H,W)."""
     b, c, h, w = x_shape
-    if kernel == 1 and stride == 1 and padding == 0:
-        return gcols.reshape(b, c, h, w)
     hp, wp = h + 2 * padding, w + 2 * padding
     ho = (hp - kernel) // stride + 1
     wo = (wp - kernel) // stride + 1
-    g = gcols.reshape(b, c, kernel, kernel, ho, wo)
-    gx = np.zeros((b, c, hp, wp), dtype=gcols.dtype)
+    g = gcols.reshape(c, kernel, kernel, b, ho, wo)
+    gx = np.zeros((c, b, hp, wp), dtype=gcols.dtype)
     for i in range(kernel):
         for j in range(kernel):
-            gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g[:, :, i, j]
-    if padding:
-        gx = gx[:, :, padding:padding + h, padding:padding + w]
-    return gx
+            gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g[:, i, j]
+    gx = gx[:, :, padding:padding + h, padding:padding + w]
+    return np.ascontiguousarray(gx.transpose(1, 0, 2, 3))
+
+
+def _channel_major(x):
+    """(B, C, H, W) -> (C, B*H*W): the batch as one GEMM operand."""
+    return x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
+
+
+def _per_patch(wm, cols, b):
+    """wm times each patch's strided view of channel-major cols: (B, O, P).
+
+    One product per patch rounds each patch the same alone or in any batch;
+    a single GEMM over all B*P columns does not.
+    """
+    return np.matmul(wm, cols.reshape(cols.shape[0], b, -1).transpose(1, 0, 2))
 
 
 class Conv2d:
@@ -105,34 +115,55 @@ class Conv2d:
             raise DimensionError(
                 "conv expects (B,%d,H,W), got %s" % (self.in_ch, (x.shape,))
             )
+        k, s, p = self.kernel, self.stride, self.padding
+        if (x.shape[2] + 2 * p - k) % s or (x.shape[3] + 2 * p - k) % s:
+            raise DimensionError(
+                "spatial size %dx%d (padding %d) is not divisible for kernel %d stride %d"
+                % (x.shape[2], x.shape[3], p, k, s)
+            )
+
+    def _pointwise(self):
+        return self.kernel == 1 and self.stride == 1 and self.padding == 0
+
+    def _cols(self, x):
+        """Column buffer; a pointwise conv just views x as (B, C, H*W)."""
+        if self._pointwise():
+            return x.reshape(x.shape[0], self.in_ch, -1), x.shape[2], x.shape[3]
+        return _im2col(x, self.kernel, self.stride, self.padding)
 
     def forward_cols(self, x):
-        """Forward pass that also returns the im2col buffer for backward."""
+        """Forward pass that also returns the column buffer for backward."""
         self._check(x)
-        cols, ho, wo = _im2col(x, self.kernel, self.stride, self.padding)
+        b = x.shape[0]
+        cols, ho, wo = self._cols(x)
         wm = self.weight.reshape(self.out_ch, -1)
-        y = np.matmul(wm, cols)
+        y = np.matmul(wm, cols) if self._pointwise() else _per_patch(wm, cols, b)
         y += self.bias[:, None]
-        return y.reshape(x.shape[0], self.out_ch, ho, wo), cols
+        return y.reshape(b, self.out_ch, ho, wo), cols
 
     def forward(self, x):
         y, _ = self.forward_cols(x)
         return y
 
-    def backward_cols(self, cols, x_shape, grad_out):
+    def backward_cols(self, cols, x_shape, grad_out, input_grad=True):
+        """(grad_x, grad_w, grad_b); grad_x is None when input_grad is False."""
         b = x_shape[0]
+        wm = self.weight.reshape(self.out_ch, -1)
         g = grad_out.reshape(b, self.out_ch, -1)
         grad_b = g.sum(axis=(0, 2))
-        grad_w = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
-        grad_w = grad_w.reshape(self.weight.shape)
-        wm = self.weight.reshape(self.out_ch, -1)
-        gcols = np.matmul(wm.T, g)
-        grad_x = _col2im(gcols, x_shape, self.kernel, self.stride, self.padding)
-        return grad_x, grad_w, grad_b
+        if self._pointwise():
+            grad_w = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+            grad_x = np.matmul(wm.T, g).reshape(x_shape) if input_grad else None
+        else:
+            g = _channel_major(grad_out)
+            grad_w = g @ cols.T
+            grad_x = _col2im(wm.T @ g, x_shape, self.kernel, self.stride,
+                             self.padding) if input_grad else None
+        return grad_x, grad_w.reshape(self.weight.shape), grad_b
 
     def backward(self, x, grad_out):
         self._check(x)
-        cols, _, _ = _im2col(x, self.kernel, self.stride, self.padding)
+        cols, _, _ = self._cols(x)
         return self.backward_cols(cols, x.shape, grad_out)
 
     def params(self):
@@ -179,10 +210,10 @@ class Dense:
 class TransposedConv2d:
     """Stride-2 transposed 3x3 convolution that exactly doubles H and W.
 
-    Weight is shaped (in_ch, out_ch, kh, kw). Forward stamps each input
-    pixel's weighted kernel onto a stride-spaced grid, then crops by the
-    padding and extends by the output padding, the adjoint of a padded
-    strided convolution.
+    Weight is shaped (in_ch, out_ch, kh, kw). Forward is W^T x, one kernel
+    stamp per input pixel, scattered by _col2im onto the output grid padded
+    by `padding` (output padding rows stay unstamped), the adjoint of a
+    padded strided convolution; backward gathers with _im2col.
     """
 
     def __init__(self, in_ch, out_ch, kernel=3, stride=2, padding=1,
@@ -204,93 +235,76 @@ class TransposedConv2d:
         k, s, p, op = self.kernel, self.stride, self.padding, self.output_padding
         return (h - 1) * s - 2 * p + k + op, (w - 1) * s - 2 * p + k + op
 
-    def _stamp_grid(self, h, w):
-        k, s = self.kernel, self.stride
-        return (h - 1) * s + k, (w - 1) * s + k
-
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.in_ch:
             raise DimensionError(
                 "transposed conv expects (B,%d,H,W), got %s" % (self.in_ch, (x.shape,))
             )
         b, _, h, w = x.shape
-        k, s, p = self.kernel, self.stride, self.padding
-        hf, wf = self._stamp_grid(h, w)
-        ho, wo = self.out_size(h, w)
-        if ho + p > hf or wo + p > wf:
+        if self.output_padding > self.padding or self.output_padding >= self.stride:
             raise DimensionError(
-                "output padding %d exceeds stamp grid for input %dx%d"
-                % (self.output_padding, h, w)
+                "output padding %d must be below stride %d and at most padding %d"
+                % (self.output_padding, self.stride, self.padding)
             )
-        xm = x.reshape(b, self.in_ch, h * w)
-        wm = self.weight.reshape(self.in_ch, self.out_ch * k * k)
-        prod = np.matmul(wm.T, xm).reshape(b, self.out_ch, k, k, h, w)
-        full = np.zeros((b, self.out_ch, hf, wf), dtype=x.dtype)
-        for i in range(k):
-            for j in range(k):
-                full[:, :, i:i + s * h:s, j:j + s * w:s] += prod[:, :, i, j]
-        y = full[:, :, p:p + ho, p:p + wo] + self.bias[:, None, None]
+        wm = self.weight.reshape(self.in_ch, -1)
+        stamps = wm.T @ _channel_major(x)
+        y_shape = (b, self.out_ch) + self.out_size(h, w)
+        y = _col2im(stamps, y_shape, self.kernel, self.stride, self.padding)
+        y += self.bias[:, None, None]
         return y
 
     def backward(self, x, grad_out):
-        b, _, h, w = x.shape
-        k, s, p = self.kernel, self.stride, self.padding
-        hf, wf = self._stamp_grid(h, w)
-        ho, wo = self.out_size(h, w)
         grad_b = grad_out.sum(axis=(0, 2, 3))
-        full = np.zeros((b, self.out_ch, hf, wf), dtype=grad_out.dtype)
-        full[:, :, p:p + ho, p:p + wo] = grad_out
-        gprod = np.empty((b, self.out_ch, k, k, h, w), dtype=grad_out.dtype)
-        for i in range(k):
-            for j in range(k):
-                gprod[:, :, i, j] = full[:, :, i:i + s * h:s, j:j + s * w:s]
-        gp = gprod.reshape(b, self.out_ch * k * k, h * w)
-        wm = self.weight.reshape(self.in_ch, self.out_ch * k * k)
-        grad_x = np.matmul(wm, gp).reshape(x.shape)
-        xm = x.reshape(b, self.in_ch, h * w)
-        grad_w = np.matmul(xm, gp.transpose(0, 2, 1)).sum(axis=0)
-        grad_w = grad_w.reshape(self.weight.shape)
+        gcols, _, _ = _im2col(grad_out, self.kernel, self.stride, self.padding)
+        wm = self.weight.reshape(self.in_ch, -1)
+        grad_x = _per_patch(wm, gcols, x.shape[0]).reshape(x.shape)
+        grad_w = (_channel_major(x) @ gcols.T).reshape(self.weight.shape)
         return grad_x, grad_w, grad_b
 
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
 
-def transposed_conv2d_forward(layer, x):
-    return layer.forward(np.asarray(x))
-
-
 def maxpool2d(x):
     """2x2 max pooling with stride 2.
 
     Returns the pooled map plus per-window argmax indices (0..3, row-major
-    inside the window, first occurrence on ties) for backward routing.
+    inside the window, first occurrence on ties) for backward routing,
+    exactly as argmax over each window gives them for NaN-free input.
     """
     if x.ndim != 4:
         raise DimensionError("maxpool expects (B,C,H,W), got rank %d" % x.ndim)
-    b, c, h, w = x.shape
+    h, w = x.shape[2], x.shape[3]
     if h % 2 or w % 2:
         raise DimensionError("maxpool needs even spatial dims, got %dx%d" % (h, w))
-    win = (
-        x.reshape(b, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(b, c, h // 2, w // 2, 4)
-    )
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    corners = a, b, c, d = _corners(x)
+    out = np.maximum(np.maximum(a, b), np.maximum(c, d))
+    # first corner equal to the maximum: 0 if a is, else 1 if b is, ...
+    idx = (c != out).view(np.uint8) + np.uint8(1)
+    idx *= (b != out).view(np.uint8)
+    idx += np.uint8(1)
+    idx *= (a != out).view(np.uint8)
+    # np.maximum may return either of +0 and -0; keep the first, as argmax does
+    zero = out == 0
+    if zero.any():
+        out[zero] = np.choose(idx[zero], [v[zero] for v in corners])
     return out, idx
 
 
+def _corners(x):
+    """The four 2x2-window positions of x as strided views, row-major."""
+    return [x[:, :, i::2, j::2] for i in (0, 1) for j in (0, 1)]
+
+
 def maxpool2d_backward(grad_out, idx):
-    """Scatter each output gradient to its recorded argmax position."""
+    """Route each output gradient to its recorded argmax position."""
     b, c, ho, wo = grad_out.shape
-    g = np.zeros((b, c, ho, wo, 4), dtype=grad_out.dtype)
-    np.put_along_axis(g, idx[..., None], grad_out[..., None], axis=-1)
-    return (
-        g.reshape(b, c, ho, wo, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(b, c, 2 * ho, 2 * wo)
-    )
+    gx = np.empty((b, c, 2 * ho, 2 * wo), dtype=grad_out.dtype)
+    # multiply the raw bits by the 0/1 mask: an exact copy or +0.0
+    bits = np.dtype("u%d" % grad_out.itemsize)
+    for k, corner in enumerate(_corners(gx.view(bits))):
+        np.multiply(grad_out.view(bits), idx == k, out=corner)
+    return gx
 
 
 def cross_entropy_2class(logits, target, pos_weight=None):

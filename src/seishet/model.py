@@ -218,7 +218,8 @@ class HetNet:
         gz12 = maxpool2d_backward(gp1, idx1) * gelu_grad_cached(z12, c12)
         ga11, gw12, gb12 = self.conv12.backward_cols(cols12, a11.shape, gz12)
         gz11 = ga11 * gelu_grad_cached(z11, c11)
-        _, gw11, gb11 = self.conv11.backward_cols(cols11, x.shape, gz11)
+        _, gw11, gb11 = self.conv11.backward_cols(cols11, x.shape, gz11,
+                                                  input_grad=False)
 
         grads = {
             "stage1.conv1.weight": gw11, "stage1.conv1.bias": gb11,
@@ -370,7 +371,10 @@ def _read_name(fh, what):
     (ln,) = struct.unpack("<I", _read_exact(fh, 4, what + " name length"))
     if ln > 4096:
         raise FormatError("implausible %s name length %d" % (what, ln))
-    return _read_exact(fh, ln, what + " name").decode("utf-8")
+    try:
+        return _read_exact(fh, ln, what + " name").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError("%s name is not valid UTF-8: %s" % (what, exc))
 
 
 def load_checkpoint(path):

@@ -117,14 +117,14 @@ def sigmoid(x):
     return expit(np.asarray(x))
 
 
-def softmax_lastdim(x):
+def softmax_lastdim(x, out=None):
     """Softmax along the last axis, stabilised by subtracting the row max."""
     x = np.asarray(x)
     if x.ndim < 1 or x.shape[-1] < 1:
         raise DimensionError("softmax needs a last axis of width >= 1")
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(np.subtract(x, x.max(axis=-1, keepdims=True), out=out), out=out)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def finite_difference_grad(f, x, h=1e-5):

@@ -355,7 +355,8 @@ def load_section_mask(directory, axis, line, shape=None):
 def read_raw_section(path, height, width):
     """Load a raw little-endian float32 row-major section dump."""
     expected = 4 * height * width
-    raw = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     if len(raw) != expected:
         raise FormatError(
             "%s: %d bytes, expected %d for %dx%d float32"

@@ -308,7 +308,8 @@ def read_dataset(directory):
         msk_path = os.path.join(directory, "msk_%06d.pgm" % i)
         if not os.path.isfile(img_path):
             raise FormatError("%s: missing" % img_path)
-        raw = open(img_path, "rb").read()
+        with open(img_path, "rb") as fh:
+            raw = fh.read()
         if len(raw) != 4 * patch * patch:
             raise FormatError(
                 "%s: %d bytes, expected %d" % (img_path, len(raw), 4 * patch * patch)

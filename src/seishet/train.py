@@ -2,7 +2,7 @@
 
 Training is fully deterministic given seeds: the epoch shuffle for epoch e
 comes from Prng(shuffle_seed).derive(e), batches walk the permutation in
-order, and gradient reduction follows sample-index order inside each batch.
+order, and each gradient reduction runs in an order fixed by batch shape.
 Frozen parameters are skipped entirely by the optimizer, moments included.
 """
 
@@ -34,6 +34,10 @@ class TrainConfig:
             raise DataError("batch size must be at least 1")
         if not 0.0 < self.split_fraction < 1.0:
             raise DataError("split fraction must lie in (0, 1)")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise DataError("learning rate must be positive and finite")
+        if self.pos_weight is not None and not 0.0 < self.pos_weight < np.inf:
+            raise DataError("positive-class weight must be positive and finite")
         return self
 
 

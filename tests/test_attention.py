@@ -239,6 +239,36 @@ def test_attention_head_matches_softmax_matmul_composition():
         self_attention_head(q, k, v, rel_w, rel_h), expect, atol=1e-6)
 
 
+def test_batched_relative_logits_equal_per_head_bit_for_bit():
+    attn = RelativeSelfAttention2d(12, 5, 4, heads=2, d_k=8, d_v=8, prng=Prng(70))
+    x = Prng(71).normal(size=(3, 12, 5, 4)).astype(np.float32)
+    _, (_, q, k, _, weights, _) = attn.forward_cache(x)
+    batched = relative_logits(q, k, attn.rel_w, attn.rel_h)
+    assert batched.dtype == np.float32
+    for b in range(3):
+        for h in range(2):
+            head = relative_logits(q[b, h], k[b, h], attn.rel_w, attn.rel_h)
+            np.testing.assert_array_equal(batched[b, h], head)
+            np.testing.assert_array_equal(weights[b, h], softmax_lastdim(head))
+
+
+def test_relative_logits_match_gathered_offsets_on_rectangular_grid():
+    p = Prng(72)
+    h, w, d = 3, 4, 5
+    q = p.normal(size=(2, h * w, d))
+    k = p.normal(size=(2, h * w, d))
+    rel_w = p.normal(size=(2 * w - 1, d))
+    rel_h = p.normal(size=(2 * h - 1, d))
+    iy, ix = np.divmod(np.arange(h * w), w)
+    offw = ix[None, :] - ix[:, None] + w - 1
+    offh = iy[None, :] - iy[:, None] + h - 1
+    rows = np.arange(h * w)[:, None]
+    expect = (q @ k.transpose(0, 2, 1) + (q @ rel_w.T)[:, rows, offw]
+              + (q @ rel_h.T)[:, rows, offh]) / math.sqrt(d)
+    np.testing.assert_allclose(relative_logits(q, k, rel_w, rel_h), expect,
+                               rtol=1e-12, atol=1e-12)
+
+
 def _random_attention(in_ch, h, w, heads, d_k, d_v, seed):
     attn = RelativeSelfAttention2d(in_ch, h, w, heads, d_k, d_v, dtype=np.float64)
     p = Prng(seed)

@@ -130,7 +130,27 @@ def test_train_rejects_out_of_range_split(workspace, tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--lr", "0"), ("--pos-weight", "-1")])
+def test_train_rejects_bad_rate_or_weight(workspace, tmp_path, flag, value):
+    out = tmp_path / "x.ckpt"
+    r = run_cli("train", "--data", workspace["data"], "--out", out,
+                "--epochs", "1", flag, value)
+    assert r.returncode == 1
+    assert r.stderr.startswith("seishet: error:")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- finetune
+
+@pytest.mark.parametrize("flag,value", [("--lr", "0"), ("--pos-weight", "-1")])
+def test_finetune_rejects_bad_rate_or_weight(workspace, tmp_path, flag, value):
+    out = tmp_path / "t.ckpt"
+    r = run_cli("finetune", "--ckpt", workspace["ckpt"], "--data",
+                workspace["data"], "--out", out, "--epochs", "1", flag, value)
+    assert r.returncode == 1
+    assert r.stderr.startswith("seishet: error:")
+    assert not out.exists()
+
 
 def test_finetune_freezes_prefix_and_diff_confirms(workspace, tmp_path):
     tuned = tmp_path / "tuned.ckpt"
@@ -319,6 +339,17 @@ def test_info_unreadable_checkpoint_exits_1(tmp_path):
     r = run_cli("info", "--ckpt", tmp_path / "missing.ckpt")
     assert r.returncode == 1
     assert r.stderr.startswith("seishet: error:")
+
+
+def test_info_checkpoint_with_non_utf8_tensor_name_exits_1(workspace, tmp_path):
+    blob = bytearray(workspace["ckpt"].read_bytes())
+    blob[8 + 21 + 4] = 0xFF  # first byte of the first tensor name
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(blob))
+    r = run_cli("info", "--ckpt", bad)
+    assert r.returncode == 1
+    assert r.stderr.startswith("seishet: error:")
+    assert "Traceback" not in r.stderr
 
 
 # ---------------------------------------------------------------- seeds

@@ -223,6 +223,59 @@ def test_transposed_conv_backward_matches_finite_difference():
     assert relative_error(gb, finite_difference_grad(loss_wrt("bias"), layer.bias)) < 1e-6
 
 
+def _tconv_stamp_oracle(x, weight, bias, grad_out, stride=2, padding=1):
+    """Stamp-loop transposed conv: forward output and backward gradients."""
+    b, cin, h, w = x.shape
+    _, cout, k, _ = weight.shape
+    ho, wo = grad_out.shape[2], grad_out.shape[3]
+    hf, wf = (h - 1) * stride + k, (w - 1) * stride + k
+    full = np.zeros((b, cout, hf, wf))
+    gfull = np.zeros((b, cout, hf, wf))
+    gfull[:, :, padding:padding + ho, padding:padding + wo] = grad_out
+    gx = np.zeros(x.shape)
+    gw = np.zeros(weight.shape)
+    for n in range(b):
+        for ci in range(cin):
+            for y in range(h):
+                for xx in range(w):
+                    for co in range(cout):
+                        for i in range(k):
+                            for j in range(k):
+                                r, c = y * stride + i, xx * stride + j
+                                full[n, co, r, c] += x[n, ci, y, xx] * weight[ci, co, i, j]
+                                gx[n, ci, y, xx] += weight[ci, co, i, j] * gfull[n, co, r, c]
+                                gw[ci, co, i, j] += x[n, ci, y, xx] * gfull[n, co, r, c]
+    out = full[:, :, padding:padding + ho, padding:padding + wo] + bias[:, None, None]
+    return out, gx, gw, grad_out.sum(axis=(0, 2, 3))
+
+
+def test_transposed_conv_matches_stamp_loop_oracle():
+    p = Prng(15)
+    # integer-valued floats make BLAS and loop sums bit-identical
+    layer = TransposedConv2d(3, 2, dtype=np.float64)
+    layer.weight = p.randint(-3, 3, size=layer.weight.shape).astype(np.float64)
+    layer.bias = p.randint(-3, 3, size=2).astype(np.float64)
+    x = p.randint(-4, 4, size=(2, 3, 3, 4)).astype(np.float64)
+    g = p.randint(-4, 4, size=(2, 2, 6, 8)).astype(np.float64)
+    out, gx, gw, gb = _tconv_stamp_oracle(x, layer.weight, layer.bias, g)
+    np.testing.assert_array_equal(layer.forward(x), out)
+    for got, want in zip(layer.backward(x, g), (gx, gw, gb)):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_conv_backward_without_input_gradient():
+    layer = _conv64(2, 3, seed=16)
+    p = Prng(17)
+    x = p.normal(size=(2, 2, 5, 5))
+    g = p.normal(size=(2, 3, 5, 5))
+    y, cols = layer.forward_cols(x)
+    gx, gw, gb = layer.backward_cols(cols, x.shape, g)
+    none, gw2, gb2 = layer.backward_cols(cols, x.shape, g, input_grad=False)
+    assert none is None and gx.shape == x.shape
+    np.testing.assert_array_equal(gw2, gw)
+    np.testing.assert_array_equal(gb2, gb)
+
+
 @pytest.mark.parametrize("in_ch,out_ch,size", [(100, 20, 11), (20, 10, 22)])
 def test_transposed_conv_adjoint_identity_at_network_sizes(in_ch, out_ch, size):
     """<T x, y> must equal <x, T^t y> where T^t is a strided convolution.
@@ -263,6 +316,49 @@ def test_maxpool_shape_and_odd_dims():
     assert out.shape == (2, 3, 4, 3)
     with pytest.raises(DimensionError):
         maxpool2d(np.zeros((1, 1, 5, 4)))
+
+
+def _argmax_pool(x):
+    """Reference 2x2 pool: argmax over each window laid out row-major."""
+    b, c, h, w = x.shape
+    win = (
+        x.reshape(b, c, h // 2, 2, w // 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(b, c, h // 2, w // 2, 4)
+    )
+    idx = win.argmax(axis=-1)
+    return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], idx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_matches_argmax_definition_on_ties_and_infinities(dtype):
+    p = Prng(33)
+    cases = [
+        np.full((1, 2, 4, 4), 3.0),                          # all-equal windows
+        p.randint(0, 1, size=(2, 3, 6, 8)).astype(np.float64),  # pairwise ties
+        p.randint(-2, 2, size=(2, 3, 6, 8)).astype(np.float64),
+        np.full((1, 1, 2, 4), -np.inf),
+        np.array([[[[-np.inf, -np.inf, -np.inf, 5.0],
+                    [-np.inf, -np.inf, 5.0, -np.inf]]]]),
+        np.array([[[[-0.0, 0.0, 0.0, -0.0],                # signed zeros tie
+                    [0.0, -0.0, -0.0, 0.0]]]]),
+        np.where(p.uniform(0.0, 1.0, size=(2, 3, 16, 32)) < 0.5, 0.0, -0.0),
+    ]
+    for x in cases:
+        x = x.astype(dtype)
+        out, idx = maxpool2d(x)
+        ref_out, ref_idx = _argmax_pool(x)
+        np.testing.assert_array_equal(idx, ref_idx)
+        assert out.dtype == x.dtype
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(ref_out))
+        g = p.normal(size=out.shape).astype(dtype)
+        ref_g = np.zeros(out.shape + (4,), dtype=dtype)
+        np.put_along_axis(ref_g, ref_idx[..., None], g[..., None], axis=-1)
+        b, c, ho, wo = out.shape
+        ref_g = ref_g.reshape(b, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        np.testing.assert_array_equal(maxpool2d_backward(g, idx),
+                                      ref_g.reshape(x.shape))
 
 
 def test_maxpool_backward_routes_to_argmax():

@@ -270,6 +270,19 @@ def test_checkpoint_tampered_shape(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_tensor_name_not_utf8(tmp_path):
+    model = build_network("se", Prng(27))
+    path = str(tmp_path / "t.ckpt")
+    save_checkpoint(model, path)
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
+    blob[8 + 21 + 4] = 0xFF  # first byte of the first tensor name
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_unknown_variant_code(tmp_path):
     model = build_network("se", Prng(24))
     path = str(tmp_path / "t.ckpt")

@@ -1,6 +1,8 @@
 """SEG-Y ingestion, resampling, tiling inference, and map export."""
 
+import gc
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -479,6 +481,16 @@ def test_raw_section_round_trip(tmp_path):
     write_raw_section(arr, path)
     back = read_raw_section(path, 7, 5)
     assert np.array_equal(back, arr)
+
+
+def test_read_raw_section_closes_its_file(tmp_path):
+    path = tmp_path / "sec.f32"
+    write_raw_section(np.ones((3, 4), dtype=np.float32), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        read_raw_section(path, 3, 4)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_raw_section_size_mismatch(tmp_path):

@@ -1,8 +1,10 @@
 """Synthetic section pipeline: geometry, wavelet, noise, dataset round trip."""
 
+import gc
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +285,17 @@ def test_samples_respect_bounds():
     for s in generate_dataset(cfg):
         assert s.image.min() >= -1.0 and s.image.max() <= 1.0
         assert set(np.unique(s.mask)) <= {0, 1}
+
+
+def test_read_dataset_closes_its_files(tmp_path):
+    cfg = SyntheticConfig(height=44, width=44, sections=2, seed=9)
+    d = str(tmp_path / "ds")
+    write_dataset(generate_dataset(cfg), d, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        read_dataset(d)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_dataset_round_trip(tmp_path):

@@ -25,6 +25,21 @@ def _tiny_dataset(n_sections=4, seed=3):
     return generate_dataset(cfg)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", 0.0), ("learning_rate", -1e-3),
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+    ("pos_weight", 0.0), ("pos_weight", -1.0), ("pos_weight", float("nan")),
+])
+def test_config_rejects_bad_rate_and_weight(field, value):
+    with pytest.raises(DataError):
+        TrainConfig(**{field: value}).validate()
+
+
+def test_config_accepts_positive_rate_and_weight():
+    TrainConfig(learning_rate=0.5, pos_weight=2.0).validate()
+    TrainConfig(pos_weight=None).validate()
+
+
 def test_split_sizes_and_determinism():
     samples = list(range(10))
     tr, te = split_dataset(samples, 0.8, seed=5)
