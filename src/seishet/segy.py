@@ -2,12 +2,13 @@
 
 Covers rev1 big-endian files with fixed-length traces and sample formats
 1 (IBM hexadecimal float) and 5 (IEEE float). The volume index stores only
-header fields and byte offsets; amplitudes are decoded on demand per
+the line keys of every trace; amplitudes are decoded on demand per
 section. Byte positions follow the rev1 layout:
 
     file offset 3216  u16  sample interval (microseconds)
     file offset 3220  u16  samples per trace
     file offset 3224  u16  data sample format code
+    trace header, 1-based bytes 115-116: samples in this trace (0 = default)
     trace header, 1-based bytes 189-192 / 193-196: inline / crossline
     (overridable, since real volumes frequently deviate)
 
@@ -16,7 +17,6 @@ mask_<axis><line>.pgm on the same grid.
 """
 
 import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +32,9 @@ from .pgm import read_pgm, write_pgm
 from .synthgen import Sample, normalize_patch
 
 TEXT_HEADER_LEN = 3200
-BINARY_HEADER_LEN = 400
 TRACE_HEADER_LEN = 240
+FILE_HEADER_LEN = TEXT_HEADER_LEN + 400  # then the 400-byte binary header
+SCAN_CHUNK_BYTES = 4 << 20
 
 REAL_PATCH_SRC = 20
 REAL_PATCH_DST = 44
@@ -43,18 +44,16 @@ REAL_PATCH_STRIDE = 10
 def ibm_to_ieee(words):
     """Decode IBM System/360 hexadecimal floats from 32-bit words.
 
-    value = (-1)^sign * (fraction / 2^24) * 16^(exponent - 64), which is
-    exact in double precision for every bit pattern. Accepts a python int
-    or any integer array; returns float or float64 array accordingly.
+    value = (-1)^sign * fraction * 2^(4 * (exponent - 64) - 24) with the
+    24-bit fraction read as an integer, which np.ldexp computes exactly in
+    double precision for every bit pattern. Accepts a python int or any
+    integer array; returns float or float64 array accordingly.
     """
-    arr = np.asarray(words)
-    scalar = arr.ndim == 0
-    w = arr.astype(np.int64) & 0xFFFFFFFF
-    sign = np.where((w >> 31) & 1, -1.0, 1.0)
-    exponent = ((w >> 24) & 0x7F) - 64
-    fraction = (w & 0xFFFFFF).astype(np.float64) / float(1 << 24)
-    value = sign * fraction * np.power(16.0, exponent.astype(np.float64))
-    return float(value) if scalar else value
+    w = np.asarray(words).astype(np.int64) & 0xFFFFFFFF
+    fraction = (w & 0xFFFFFF).astype(np.float64)
+    magnitude = np.ldexp(fraction, 4 * ((w >> 24) & 0x7F) - 280)
+    value = np.copysign(magnitude, -(w >> 31))  # -0.0 for a bare sign bit
+    return float(value) if value.ndim == 0 else value
 
 
 @dataclass
@@ -73,46 +72,39 @@ class SeismicSection:
 
 
 class SegyVolume:
-    """Parsed headers plus a trace index keyed by (inline, crossline)."""
+    """Parsed headers plus, per axis, the trace ordinals sorted by (line,
+    orthogonal key) with ties in file order, the orthogonal keys in that
+    order, and each line's [start, stop) slice of both, lines ascending."""
 
-    def __init__(self, path, ns, fmt, sample_interval_us, text_header, entries):
+    def __init__(self, path, ns, fmt, sample_interval_us, text_header, keys):
         self.path = path
         self.ns = ns
         self.format_code = fmt
         self.sample_interval_us = sample_interval_us
         self.text_header = text_header
-        self.n_traces = len(entries)
-        self._by_inline = {}
-        self._by_crossline = {}
-        for il, xl, offset in entries:
-            self._by_inline.setdefault(il, []).append((xl, offset))
-            self._by_crossline.setdefault(xl, []).append((il, offset))
+        self.n_traces = keys.shape[1]
+        self._index = {}
+        for axis, (key, orth) in (("inline", keys), ("crossline", keys[::-1])):
+            order = np.lexsort((orth, key))  # stable: ties keep file order
+            key = key[order]
+            bounds = np.flatnonzero(np.r_[True, key[1:] != key[:-1], True]).tolist()
+            spans = dict(zip(key[bounds[:-1]].tolist(), zip(bounds, bounds[1:])))
+            self._index[axis] = (spans, order, orth[order])
 
     def lines(self, axis):
-        table = self._table(axis)
-        return sorted(table)
+        return list(self._axis(axis)[0])
 
-    def _table(self, axis):
-        if axis == "inline":
-            return self._by_inline
-        if axis == "crossline":
-            return self._by_crossline
-        raise ConfigError("axis must be 'inline' or 'crossline', got %r" % axis)
-
-
-def _u16be(buf, offset):
-    return struct.unpack_from(">H", buf, offset)[0]
-
-
-def _i32be(buf, offset):
-    return struct.unpack_from(">i", buf, offset)[0]
+    def _axis(self, axis):
+        if axis not in ("inline", "crossline"):
+            raise ConfigError("axis must be 'inline' or 'crossline', got %r" % axis)
+        return self._index[axis]
 
 
 def open_volume(path, inline_byte=189, crossline_byte=193):
     """Index a SEG-Y file without loading amplitudes.
 
     inline_byte/crossline_byte are the 1-based trace-header positions of
-    the 4-byte big-endian line numbers.
+    the 4-byte big-endian line numbers. Trace headers are read in chunks.
     """
     for name, byte in (("inline", inline_byte), ("crossline", crossline_byte)):
         if not 1 <= byte <= TRACE_HEADER_LEN - 3:
@@ -120,18 +112,14 @@ def open_volume(path, inline_byte=189, crossline_byte=193):
                 "%s byte %d outside the 240-byte trace header" % (name, byte)
             )
     size = os.path.getsize(path)
-    header_len = TEXT_HEADER_LEN + BINARY_HEADER_LEN
-    if size < header_len:
+    if size < FILE_HEADER_LEN:
         raise FormatError(
             "%s: %d bytes is too short for SEG-Y headers (%d needed)"
-            % (path, size, header_len)
+            % (path, size, FILE_HEADER_LEN)
         )
-    with open(path, "rb") as fh:
-        text_header = fh.read(TEXT_HEADER_LEN)
-        binary_header = fh.read(BINARY_HEADER_LEN)
-        interval = _u16be(binary_header, 3216 - TEXT_HEADER_LEN)
-        ns = _u16be(binary_header, 3220 - TEXT_HEADER_LEN)
-        fmt = _u16be(binary_header, 3224 - TEXT_HEADER_LEN)
+    with open(path, "rb", buffering=0) as fh:
+        head = fh.read(FILE_HEADER_LEN)
+        interval, _, ns, _, fmt = np.frombuffer(head, ">u2", 5, 3216).tolist()
         if ns == 0:
             raise FormatError("%s: binary header declares 0 samples per trace" % path)
         if fmt not in (1, 5):
@@ -140,7 +128,7 @@ def open_volume(path, inline_byte=189, crossline_byte=193):
                 % (path, fmt)
             )
         trace_len = TRACE_HEADER_LEN + 4 * ns
-        body = size - header_len
+        body = size - FILE_HEADER_LEN
         n_full = body // trace_len
         if body % trace_len:
             raise FormatError(
@@ -149,60 +137,71 @@ def open_volume(path, inline_byte=189, crossline_byte=193):
             )
         if n_full == 0:
             raise FormatError("%s: no traces after the file headers" % path)
-        entries = []
-        for i in range(n_full):
-            pos = header_len + i * trace_len
-            fh.seek(pos)
-            hdr = fh.read(TRACE_HEADER_LEN)
-            if len(hdr) != TRACE_HEADER_LEN:
-                raise FormatError("%s: trace %d header unreadable" % (path, i + 1))
-            trace_ns = _u16be(hdr, 114)
-            if trace_ns and trace_ns != ns:
+        fields = np.dtype({"names": ["ns", "il", "xl"], "formats": [">u2", ">i4", ">i4"],
+                           "offsets": [114, inline_byte - 1, crossline_byte - 1],
+                           "itemsize": trace_len})
+        per_chunk = max(1, SCAN_CHUNK_BYTES // trace_len)
+        keys = np.empty((2, n_full), dtype=np.int64)
+        for start in range(0, n_full, per_chunk):
+            count = min(per_chunk, n_full - start)
+            headers = np.fromfile(fh, fields, count)
+            if len(headers) != count:
+                raise FormatError("%s: trace %d header unreadable"
+                                  % (path, start + len(headers) + 1))
+            bad = np.flatnonzero((headers["ns"] != 0) & (headers["ns"] != ns))
+            if bad.size:
                 raise FormatError(
                     "%s: trace %d declares %d samples, volume header says %d"
-                    % (path, i + 1, trace_ns, ns)
+                    % (path, start + bad[0] + 1, headers["ns"][bad[0]], ns)
                 )
-            il = _i32be(hdr, inline_byte - 1)
-            xl = _i32be(hdr, crossline_byte - 1)
-            entries.append((il, xl, pos + TRACE_HEADER_LEN))
-    return SegyVolume(path, ns, fmt, interval, text_header, entries)
-
-
-def _decode_trace(raw, fmt, path, ordinal):
-    if fmt == 5:
-        vals = np.frombuffer(raw, dtype=">f4").astype(np.float64)
-    else:
-        vals = ibm_to_ieee(np.frombuffer(raw, dtype=">u4"))
-    if not np.isfinite(vals).all():
-        raise FormatError(
-            "%s: trace %d contains non-finite amplitudes" % (path, ordinal)
-        )
-    return vals.astype(np.float32)
+            keys[:, start:start + count] = headers["il"], headers["xl"]
+    return SegyVolume(path, ns, fmt, interval, head[:TEXT_HEADER_LEN], keys)
 
 
 def read_section(volume, axis, line):
-    """Amplitudes of one line, traces sorted by the orthogonal key."""
-    table = volume._table(axis)
+    """Amplitudes of one line, traces sorted by the orthogonal key.
+
+    Equal keys keep file order. Traces adjacent in the file are read in
+    one call, then the whole section is decoded at once.
+    """
+    spans, order, orth = volume._axis(axis)
     line = int(line)
-    if line not in table:
-        available = sorted(table)
+    if line not in spans:
+        available = list(spans)
         raise LineNotFoundError(
             "%s %d not in volume (available: %d..%d, %d lines)"
             % (axis, line, available[0], available[-1], len(available))
         )
-    entries = sorted(table[line])
-    data = np.empty((volume.ns, len(entries)), dtype=np.float32)
-    with open(volume.path, "rb") as fh:
-        for col, (key, offset) in enumerate(entries):
-            fh.seek(offset)
-            raw = fh.read(4 * volume.ns)
-            if len(raw) != 4 * volume.ns:
-                raise FormatError(
-                    "%s: trace at offset %d is truncated" % (volume.path, offset)
-                )
-            data[:, col] = _decode_trace(raw, volume.format_code, volume.path, col + 1)
-    keys = [key for key, _ in entries]
-    return SeismicSection(data, axis, line, keys, volume.sample_interval_us)
+    lo, hi = spans[line]
+    ordinals = order[lo:hi]
+    fmt = volume.format_code
+    traces = np.empty(hi - lo, dtype=[("header", "V%d" % TRACE_HEADER_LEN),
+                                      ("samples", ">f4" if fmt == 5 else ">u4", volume.ns)])
+    size = traces.itemsize
+    raw = memoryview(traces.view(np.uint8))
+    offsets = FILE_HEADER_LEN + ordinals * size
+    runs = np.r_[0, np.flatnonzero(np.diff(ordinals) != 1) + 1, len(ordinals)].tolist()
+    filled = len(ordinals)
+    with open(volume.path, "rb", buffering=0) as fh:
+        for a, b in zip(runs, runs[1:]):
+            fh.seek(int(offsets[a]))
+            got = fh.readinto(raw[a * size:b * size])
+            if got != (b - a) * size:
+                filled = a + got // size
+                break
+    samples = traces["samples"][:filled]
+    with np.errstate(over="ignore"):  # IBM values beyond float32 become inf
+        data = (samples if fmt == 5 else ibm_to_ieee(samples)).astype(np.float32)
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise FormatError(
+            "%s: trace %d contains non-finite amplitudes" % (volume.path, bad[0] + 1)
+        )
+    if filled < len(ordinals):  # after the finiteness check: columns fail in order
+        raise FormatError("%s: trace at offset %d is truncated"
+                          % (volume.path, offsets[filled] + TRACE_HEADER_LEN))
+    return SeismicSection(np.ascontiguousarray(data.T), axis, line,
+                          orth[lo:hi].tolist(), volume.sample_interval_us)
 
 
 def _axis_map(n_in, n_out):

@@ -1,18 +1,23 @@
 """SEG-Y ingestion, resampling, tiling inference, and map export."""
 
 import gc
+import os
 import struct
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ieee_to_ibm_word, write_segy
+from seishet import segy
 from seishet.errors import (
     ConfigError,
     DimensionError,
     FormatError,
     LineNotFoundError,
+    SeishetError,
 )
 from seishet.model import build_network, channel_softmax
 from seishet.numcore import Prng
@@ -74,6 +79,34 @@ def test_ibm_round_trip_on_representable_values():
               1024.0, -0.00390625, 3.141592025756836]
     for v in values:
         assert ibm_to_ieee(ieee_to_ibm_word(v)) == v
+
+
+def _ibm_by_powers_of_16(words):
+    """The textbook decode: sign * (fraction / 2^24) * 16^(exponent - 64)."""
+    w = np.asarray(words).astype(np.int64) & 0xFFFFFFFF
+    sign = np.where((w >> 31) & 1, -1.0, 1.0)
+    exponent = ((w >> 24) & 0x7F) - 64
+    fraction = (w & 0xFFFFFF).astype(np.float64) / float(1 << 24)
+    return sign * fraction * np.power(16.0, exponent.astype(np.float64))
+
+
+def test_ibm_ldexp_decode_matches_powers_of_16_bit_for_bit():
+    edges = [0x00000000, 0x80000000, 0x00FFFFFF, 0x7FFFFFFF, 0xFFFFFFFF,
+             0x00000001, 0x80000001, 0x40000000, 0xC0000000, 0x4276A000]
+    rng = np.random.default_rng(20240601)
+    words = np.concatenate([
+        np.array(edges, dtype=np.uint32),
+        rng.integers(0, 1 << 32, 100_000, dtype=np.uint64).astype(np.uint32),
+    ])
+    got = ibm_to_ieee(words)
+    want = _ibm_by_powers_of_16(words)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.isfinite(got).all()
+    for word in edges:
+        value = ibm_to_ieee(word)
+        assert isinstance(value, float)
+        assert np.float64(value).view(np.uint64) == _ibm_by_powers_of_16(word).view(np.uint64)
 
 
 # ---------------------------------------------------------------- open_volume
@@ -231,6 +264,228 @@ def test_section_two_way_time_axis(tmp_path):
                                  interval_us=4000))
     sec = read_section(vol, "inline", 10)
     assert np.array_equal(sec.twt_ms, [0.0, 4.0, 8.0])
+
+
+def _set_sample_word(path, trace, sample, word):
+    """Overwrite one raw 32-bit sample of a written volume in place."""
+    ns = open_volume(path).ns
+    with open(path, "r+b") as fh:
+        fh.seek(3600 + trace * (240 + 4 * ns) + 240 + 4 * sample)
+        fh.write(struct.pack(">I", word))
+
+
+@pytest.mark.parametrize("fmt, word", [
+    (1, 0x7FFFFFFF),   # IBM ~7.2e75: finite in float64, beyond float32
+    (1, 0xE1100000),   # IBM -16^32 = -2^128, one past float32's range
+    (5, 0x7FC00000),   # IEEE NaN
+    (5, 0x7F800000),   # IEEE +inf
+    (5, 0xFF800000),   # IEEE -inf
+])
+def test_read_section_rejects_amplitudes_outside_float32(tmp_path, fmt, word):
+    traces = [(1, 7, [0.5, 1.0, 0.25]), (1, 8, [0.0, 1.0, 2.0])]
+    path = write_segy(tmp_path / "v.sgy", traces, fmt=fmt)
+    _set_sample_word(path, 1, 2, word)
+    vol = open_volume(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="trace 2 contains non-finite"):
+            read_section(vol, "inline", 1)
+        with pytest.raises(FormatError, match="trace 1 contains non-finite"):
+            read_section(vol, "crossline", 8)
+        assert read_section(vol, "crossline", 7).trace_keys == [1]
+
+
+def test_read_section_keeps_largest_ibm_value_below_float32_overflow(tmp_path):
+    # 0x60FFFFFF = (1 - 2^-24) * 16^32 rounds to float32's largest value
+    path = write_segy(tmp_path / "v.sgy", [(1, 7, [0.5, 1.0])], fmt=1)
+    _set_sample_word(path, 0, 1, 0x60FFFFFF)
+    sec = read_section(open_volume(path), "inline", 1)
+    assert sec.amplitudes[1, 0] == np.finfo(np.float32).max
+
+
+def test_read_section_names_trace_truncated_after_indexing(tmp_path):
+    path = write_segy(tmp_path / "v.sgy", _quad_traces())
+    vol = open_volume(path)
+    trace_len = 240 + 4 * 3
+    os.truncate(path, 3600 + 3 * trace_len + 240 + 5)
+    assert read_section(vol, "inline", 10).trace_keys == [5, 6]
+    with pytest.raises(FormatError,
+                       match="trace at offset %d is truncated" % (3600 + 3 * trace_len + 240)):
+        read_section(vol, "inline", 11)
+
+
+# The reader this module replaced, kept as an oracle: one seek and read per
+# trace header, dicts of (key, offset) lists, one decode per trace.
+
+def _oracle_volume(path, inline_byte=189, crossline_byte=193):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    ns, fmt = struct.unpack_from(">HH", data, 3220)[0], struct.unpack_from(">H", data, 3224)[0]
+    trace_len = 240 + 4 * ns
+    tables = {"inline": {}, "crossline": {}}
+    for pos in range(3600, len(data), trace_len):
+        il = struct.unpack_from(">i", data, pos + inline_byte - 1)[0]
+        xl = struct.unpack_from(">i", data, pos + crossline_byte - 1)[0]
+        tables["inline"].setdefault(il, []).append((xl, pos + 240))
+        tables["crossline"].setdefault(xl, []).append((il, pos + 240))
+    return data, ns, fmt, tables
+
+
+def _oracle_section(oracle, axis, line):
+    data, ns, fmt, tables = oracle
+    entries = sorted(tables[axis][line])
+    out = np.empty((ns, len(entries)), dtype=np.float32)
+    for col, (_, offset) in enumerate(entries):
+        raw = data[offset:offset + 4 * ns]
+        if fmt == 5:
+            out[:, col] = np.frombuffer(raw, dtype=">f4")
+        else:
+            out[:, col] = _ibm_by_powers_of_16(np.frombuffer(raw, dtype=">u4"))
+    return out, [key for key, _ in entries]
+
+
+def _grid_volume(path, fmt, n_il, n_xl, ns, seed, duplicates=0, **key_bytes):
+    """Shuffled n_il x n_xl grid plus duplicate (il, xl) pairs; raw random
+    sample words cover every float32-finite bit pattern class (zeros, -0,
+    subnormals, IBM underflow)."""
+    rng = np.random.default_rng(seed)
+    keys = [(100 + 2 * i, -3 + j) for i in range(n_il) for j in range(n_xl)]
+    keys += [keys[k] for k in rng.integers(0, len(keys), duplicates)]
+    order = rng.permutation(len(keys))
+    traces = [(keys[k][0], keys[k][1], [0.0] * ns) for k in order]
+    write_segy(path, traces, fmt=fmt, **key_bytes)
+    words = rng.integers(0, 1 << 32, (len(traces), ns), dtype=np.uint64)
+    if fmt == 5:  # no NaN/inf: clear one exponent bit where all are set
+        words[(words >> 23 & 0xFF) == 0xFF] ^= 1 << 23
+    else:  # exponents up to 16^31 stay inside float32's range
+        words = (words & 0x80FFFFFF) | (words % 96 << 24)
+    raw = np.frombuffer(bytearray(open(path, "rb").read()), dtype=np.uint8)
+    body = raw[3600:].reshape(len(traces), 240 + 4 * ns)
+    body[:, 240:] = np.frombuffer(words.astype(">u4").tobytes(), np.uint8).reshape(len(traces), -1)
+    with open(path, "wb") as fh:
+        fh.write(raw.tobytes())
+    return path
+
+
+@pytest.mark.parametrize("fmt", [1, 5])
+@pytest.mark.parametrize("n_il, n_xl, ns, duplicates, key_bytes", [
+    (4, 7, 5, 6, {}),
+    (6, 3, 2, 4, {"inline_byte": 9, "crossline_byte": 21}),
+    # ns = 1 -> 244-byte traces: 19,500 of them span two 4 MB scan chunks
+    (150, 130, 1, 40, {}),
+])
+def test_read_section_matches_per_trace_oracle(tmp_path, fmt, n_il, n_xl, ns,
+                                               duplicates, key_bytes):
+    path = _grid_volume(tmp_path / "v.sgy", fmt, n_il, n_xl, ns, seed=n_il * 10 + fmt,
+                        duplicates=duplicates, **key_bytes)
+    vol = open_volume(path, **key_bytes)
+    oracle = _oracle_volume(path, **key_bytes)
+    assert vol.n_traces == n_il * n_xl + duplicates
+    for axis in ("inline", "crossline"):
+        lines = vol.lines(axis)
+        assert lines == sorted(oracle[3][axis])
+        assert all(type(line) is int for line in lines)
+        for line in lines:
+            sec = read_section(vol, axis, line)
+            want, keys = _oracle_section(oracle, axis, line)
+            assert sec.amplitudes.dtype == np.float32
+            assert sec.amplitudes.flags.c_contiguous
+            assert sec.amplitudes.tobytes() == want.tobytes(), (axis, line)
+            assert sec.trace_keys == keys
+            assert all(type(k) is int for k in sec.trace_keys)
+
+
+def test_scan_chunk_boundary_still_names_bad_trace(tmp_path, monkeypatch):
+    # 3 traces of 252 bytes per 800-byte chunk: trace 5 sits in chunk 2
+    monkeypatch.setattr(segy, "SCAN_CHUNK_BYTES", 800)
+    traces = [(1, k, [0.5, 1.0, 2.0]) for k in range(7)]
+    path = write_segy(tmp_path / "m.sgy", traces)
+    assert open_volume(path).lines("crossline") == list(range(7))
+    with open(path, "r+b") as fh:
+        fh.seek(3600 + 4 * 252 + 114)
+        fh.write(struct.pack(">H", 4))
+    with pytest.raises(FormatError, match="trace 5 declares 4 samples"):
+        open_volume(path)
+
+
+def test_segy_reader_leaks_no_file_handles(tmp_path, monkeypatch):
+    # A ResourceWarning raised as an error inside a finalizer cannot
+    # propagate; it reaches sys.unraisablehook instead.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    good = write_segy(tmp_path / "v.sgy", _quad_traces())
+    bad_count = write_segy(tmp_path / "c.sgy", _quad_traces())
+    with open(bad_count, "r+b") as fh:
+        fh.seek(3600 + 252 + 114)
+        fh.write(struct.pack(">H", 9))
+    nan = write_segy(tmp_path / "n.sgy", [(1, 1, [np.nan])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vol = open_volume(good)
+        read_section(vol, "inline", 10)
+        read_section(vol, "crossline", 6)
+        with pytest.raises(LineNotFoundError):
+            read_section(vol, "inline", 12)
+        with pytest.raises(FormatError, match="trace 2 declares"):
+            open_volume(bad_count)
+        with pytest.raises(FormatError, match="non-finite"):
+            read_section(open_volume(nan), "inline", 1)
+        os.truncate(good, 3600 + 3 * 252 + 10)
+        with pytest.raises(FormatError, match="truncated"):
+            read_section(vol, "inline", 11)
+        with pytest.raises(FormatError, match="truncated"):
+            open_volume(good)
+        gc.collect()
+    assert unraisable == []
+
+
+_FUZZ_LEN = 3600 + 14 * 252  # 3 x 4 grid plus 2 duplicates, 3 samples
+
+
+@pytest.fixture(scope="module")
+def fuzz_bases(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    out = {fmt: _grid_volume(base / ("v%d.sgy" % fmt), fmt, 3, 4, 3, seed=fmt,
+                             duplicates=2).read_bytes() for fmt in (1, 5)}
+    assert all(len(data) == _FUZZ_LEN for data in out.values())
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    fmt=st.sampled_from([1, 5]),
+    flips=st.lists(st.tuples(
+        st.one_of(st.integers(3212, 3227),     # binary header fields
+                  st.integers(3600, _FUZZ_LEN - 1),  # trace headers, samples
+                  st.integers(0, _FUZZ_LEN - 1)),
+        st.integers(0, 255)), max_size=6),
+    cut=st.one_of(st.none(), st.integers(0, _FUZZ_LEN - 1)),
+    tail=st.binary(max_size=600),
+)
+def test_segy_parser_fuzz_raises_only_seishet_errors(tmp_path_factory, fuzz_bases,
+                                                     fmt, flips, cut, tail):
+    data = bytearray(fuzz_bases[fmt])
+    for pos, value in flips:
+        data[pos] = value
+    if cut is not None:
+        del data[cut:]
+    data += tail
+    path = tmp_path_factory.getbasetemp() / "fuzz.sgy"
+    path.write_bytes(bytes(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            vol = open_volume(path)
+            for axis in ("inline", "crossline"):
+                for line in vol.lines(axis):
+                    try:
+                        sec = read_section(vol, axis, line)
+                    except FormatError:
+                        continue
+                    assert np.isfinite(sec.amplitudes).all()
+                    assert sec.amplitudes.shape == (vol.ns, len(sec.trace_keys))
+        except SeishetError:
+            pass
 
 
 # ---------------------------------------------------------------- resampling
