@@ -16,6 +16,7 @@ from .errors import ConfigError, SeishetError
 from .metrics import evaluate, format_table, to_json
 from .model import (
     FLOP_CONVENTION,
+    MAX_ATTENTION_SIZE,
     NetConfig,
     REFERENCE_KFLOPS,
     REFERENCE_PARAM_COUNT,
@@ -55,6 +56,14 @@ def _positive_int(text):
         raise argparse.ArgumentTypeError("%r is not an integer" % text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
+def _attention_size(text):
+    value = _positive_int(text)
+    if value > MAX_ATTENTION_SIZE:
+        raise argparse.ArgumentTypeError(
+            "must be at most %d, got %d" % (MAX_ATTENTION_SIZE, value))
     return value
 
 
@@ -344,10 +353,10 @@ def build_parser():
     p.add_argument("--count-limit", type=_positive_int, default=None,
                    help="use only the first N samples")
     p.add_argument("--log", default=None, help="write per-epoch lines here")
-    p.add_argument("--se-ratio", type=_positive_int, default=4)
-    p.add_argument("--heads", type=_positive_int, default=4)
-    p.add_argument("--dk", type=_positive_int, default=32)
-    p.add_argument("--dv", type=_positive_int, default=32)
+    p.add_argument("--se-ratio", type=_attention_size, default=4)
+    p.add_argument("--heads", type=_attention_size, default=4)
+    p.add_argument("--dk", type=_attention_size, default=32)
+    p.add_argument("--dv", type=_attention_size, default=32)
     p.add_argument("--pos-weight", type=float, default=None,
                    help="optional loss weight for heterogeneity pixels")
     p.set_defaults(func=cmd_train)

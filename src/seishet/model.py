@@ -31,11 +31,15 @@ from .layers import (
     maxpool2d,
     maxpool2d_backward,
 )
-from .numcore import gelu_cache, gelu_grad_cached
+from .numcore import gelu, gelu_cache, gelu_grad_cached
 
 PATCH = 44
 GRID = 11
 VARIANTS = ("se", "self_attention")
+
+# Largest se_ratio, heads, d_k or d_v that train accepts and a checkpoint
+# may declare; it keeps a damaged header from sizing a huge model.
+MAX_ATTENTION_SIZE = 4096
 
 CHECKPOINT_MAGIC = b"SHNCKPT1"
 CHECKPOINT_VERSION = 1
@@ -150,18 +154,18 @@ class HetNet:
         """Logits (B,2,44,44) for a batch of normalized patches."""
         x = np.asarray(x, dtype=self.dtype)
         self._check_input(x)
-        a, _ = gelu_cache(self.conv11.forward(x))
-        a, _ = gelu_cache(self.conv12.forward(a))
+        a = gelu(self.conv11.forward(x))
+        a = gelu(self.conv12.forward(a))
         a, _ = maxpool2d(a)
-        a, _ = gelu_cache(self.conv21.forward(a))
-        a, _ = gelu_cache(self.conv22.forward(a))
+        a = gelu(self.conv21.forward(a))
+        a = gelu(self.conv22.forward(a))
         a, _ = maxpool2d(a)
-        s31, _ = gelu_cache(self.conv31.forward(a))
-        s32, _ = gelu_cache(self.conv32.forward(s31))
+        s31 = gelu(self.conv31.forward(a))
+        s32 = gelu(self.conv32.forward(s31))
         a = np.concatenate([s31, s32], axis=1)
         a = self.attention.forward(a)
-        a, _ = gelu_cache(self.up1.forward(a))
-        a, _ = gelu_cache(self.up2.forward(a))
+        a = gelu(self.up1.forward(a))
+        a = gelu(self.up2.forward(a))
         return self.head.forward(a)
 
     def predict_proba(self, x):
@@ -389,6 +393,10 @@ def load_checkpoint(path):
             raise FormatError("unsupported checkpoint version %d" % version)
         if vcode not in _VARIANT_NAME:
             raise FormatError("unknown attention variant code %d" % vcode)
+        if not all(1 <= v <= MAX_ATTENTION_SIZE for v in (ratio, heads, d_k, d_v)):
+            raise IntegrityError(
+                "implausible attention hyperparameters: se_ratio=%d heads=%d"
+                " d_k=%d d_v=%d" % (ratio, heads, d_k, d_v))
         config = NetConfig(se_ratio=ratio, heads=heads, d_k=d_k, d_v=d_v)
         try:
             model = HetNet(_VARIANT_NAME[vcode], prng=None, config=config)
@@ -417,12 +425,21 @@ def load_checkpoint(path):
             count = int(np.prod(dims, dtype=np.int64)) if rank else 1
             raw = _read_exact(fh, 4 * count, "tensor data")
             arr = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+            if not np.isfinite(arr).all():
+                raise IntegrityError("tensor %s has non-finite values" % name)
             model.set_parameter(name, arr)
+        seen = set()
         for _ in range(len(expected)):
             name = _read_name(fh, "freeze")
             if name not in expected:
                 raise IntegrityError("freeze flag for unknown tensor %r" % name)
+            if name in seen:
+                raise IntegrityError("duplicate freeze flag for %r" % name)
+            seen.add(name)
             (flag,) = struct.unpack("<B", _read_exact(fh, 1, "freeze flag"))
+            if flag > 1:
+                raise FormatError("freeze flag for %s is %d, not 0 or 1"
+                                  % (name, flag))
             model.freeze[name] = bool(flag)
         if fh.read(1):
             raise FormatError("trailing bytes after checkpoint data")

@@ -86,30 +86,107 @@ def matmul(a, b):
     return a @ b
 
 
+# Float32 GeLU: Abramowitz & Stegun 7.1.26 for erf, rewritten for the
+# Gaussian CDF as Phi(-|x|) = poly(t) * exp(-x^2/2) with
+# t = 1 / (1 + p |x| / sqrt 2) and the factor 1/2 folded into the
+# coefficients (a5 first, for Horner). Max abs error of Phi, gelu and its
+# derivative on float32 inputs: under 5e-7 against the erf forms.
+_AS_P = 0.3275911 * _INV_SQRT2
+_AS_HALF_COEFFS = tuple(0.5 * a for a in (
+    1.061405429, -1.453152027, 1.421413741, -0.284496736, 0.254829592))
+_SIGN32 = np.uint32(0x80000000)
+_GELU_BLOCK = 32768
+
+
+def _gelu_f32(x, outputs):
+    """Float32 Phi(x), x*Phi(x) and Phi(x) + x*phi(x) from numpy ufuncs.
+
+    `outputs` names the arrays to return, in order, from "cdf", "value"
+    and "grad". The input is processed in blocks of _GELU_BLOCK elements
+    through block-sized scratch buffers, so no full-size temporary is made;
+    every step is elementwise, so an element's bits do not depend on its
+    block. Overflow of x*x (|x| > 1.8e19) gives exp(-inf) = 0 as intended,
+    and inf*0 = nan at x = -inf (gelu) or +-inf (grad) matches the erf
+    forms; both are computed with those warnings silenced.
+    """
+    shape = x.shape
+    flat = np.ascontiguousarray(x).reshape(-1)
+    n = flat.size
+    out = {name: np.empty(n, np.float32) for name in outputs}
+    cdf_out, value_out, grad_out = (out.get(k) for k in ("cdf", "value", "grad"))
+    m = min(n, _GELU_BLOCK)
+    e, t, cdf = (np.empty(m, np.float32) for _ in range(3))
+    sign = np.empty(m, np.uint32)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _GELU_BLOCK):
+            hi = min(lo + _GELU_BLOCK, n)
+            xb = flat[lo:hi]
+            eb, tb, cb, sb = e[:hi - lo], t[:hi - lo], cdf[:hi - lo], sign[:hi - lo]
+            np.abs(xb, out=tb)
+            np.multiply(tb, tb, out=eb)
+            np.multiply(eb, -0.5, out=eb)
+            np.exp(eb, out=eb)
+            np.multiply(tb, _AS_P, out=tb)
+            np.add(tb, 1.0, out=tb)
+            np.divide(1.0, tb, out=tb)
+            np.multiply(tb, _AS_HALF_COEFFS[0], out=cb)
+            for a in _AS_HALF_COEFFS[1:]:
+                cb += a
+                cb *= tb
+            cb *= eb                          # Phi(-|x|)
+            np.subtract(0.5, cb, out=cb)      # |Phi(x) - 1/2|, then x's sign
+            np.bitwise_and(xb.view(np.uint32), _SIGN32, out=sb)
+            np.bitwise_or(cb.view(np.uint32), sb, out=cb.view(np.uint32))
+            cb += 0.5                         # Phi(x)
+            if cdf_out is not None:
+                cdf_out[lo:hi] = cb
+            if value_out is not None:
+                np.multiply(xb, cb, out=value_out[lo:hi])
+            if grad_out is not None:
+                gb = grad_out[lo:hi]
+                np.multiply(xb, eb, out=gb)
+                gb *= _INV_SQRT_2PI
+                gb += cb
+    return [out[name].reshape(shape) for name in outputs]
+
+
 def gelu(x):
-    """x * Phi(x) with the exact erf-based Gaussian CDF."""
+    """x * Phi(x): the exact erf form, or _gelu_f32 for float32 input."""
     x = np.asarray(x)
+    if x.dtype == np.float32:
+        return _gelu_f32(x, ("value",))[0]
     return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
 
 
 def gelu_grad(x):
     """d/dx gelu(x) = Phi(x) + x * phi(x)."""
     x = np.asarray(x)
+    if x.dtype == np.float32:
+        return _gelu_f32(x, ("grad",))[0]
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return cdf + x * pdf
 
 
 def gelu_cache(x):
-    """gelu(x) along with the Gaussian CDF term, reusable in backward."""
+    """gelu(x) along with the term its backward needs.
+
+    That term is the Gaussian CDF for float64 input and the whole
+    derivative gelu_grad(x) for float32 input, computed from the same
+    exp(-x^2/2); either way one array per activation.
+    """
     x = np.asarray(x)
+    if x.dtype == np.float32:
+        return tuple(_gelu_f32(x, ("value", "grad")))
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     return x * cdf, cdf
 
 
-def gelu_grad_cached(x, cdf):
-    """gelu_grad(x) given the CDF already computed by gelu_cache."""
-    return cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+def gelu_grad_cached(x, cache):
+    """gelu_grad(x) given the cache term returned by gelu_cache."""
+    if np.asarray(x).dtype == np.float32:
+        return cache
+    return cache + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
 
 
 def sigmoid(x):

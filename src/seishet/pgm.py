@@ -56,4 +56,7 @@ def read_pgm(path):
             "%s: PGM payload is %d bytes, expected %d"
             % (path, len(payload), width * height)
         )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+    if maxval < 255 and pixels.max() > maxval:
+        raise FormatError("%s: PGM pixel values exceed maxval %d" % (path, maxval))
+    return pixels

@@ -286,28 +286,38 @@ def write_dataset(samples, directory, config=None):
         fh.write("\n")
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def read_dataset(directory):
     """Load a dataset directory back into samples plus its manifest."""
     man_path = os.path.join(directory, "manifest.json")
     if not os.path.isfile(man_path):
         raise FormatError("%s: no manifest.json" % directory)
     try:
-        with open(man_path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+        with open(man_path, "rb") as fh:
+            manifest = json.loads(fh.read())
+    except ValueError as exc:  # also bad UTF-8 and over-long integers
         raise FormatError("%s: malformed manifest: %s" % (man_path, exc))
+    if not isinstance(manifest, dict):
+        raise FormatError("%s: manifest is not a JSON object" % man_path)
     count = manifest.get("count")
     patch = manifest.get("patch", PATCH)
-    if not isinstance(count, int) or count < 0:
+    if not _is_int(count) or count < 0:
         raise FormatError("%s: missing or invalid count" % man_path)
+    if not _is_int(patch) or patch < 1:
+        raise FormatError("%s: invalid patch %r, expected an integer >= 1"
+                          % (man_path, patch))
     if count == 0:
         raise DataError("%s: dataset is empty" % directory)
     samples = []
     for i in range(count):
         img_path = os.path.join(directory, "img_%06d.f32" % i)
         msk_path = os.path.join(directory, "msk_%06d.pgm" % i)
-        if not os.path.isfile(img_path):
-            raise FormatError("%s: missing" % img_path)
+        for path in (img_path, msk_path):
+            if not os.path.isfile(path):
+                raise FormatError("%s: missing" % path)
         with open(img_path, "rb") as fh:
             raw = fh.read()
         if len(raw) != 4 * patch * patch:
@@ -315,6 +325,8 @@ def read_dataset(directory):
                 "%s: %d bytes, expected %d" % (img_path, len(raw), 4 * patch * patch)
             )
         img = np.frombuffer(raw, dtype="<f4").reshape(patch, patch).copy()
+        if not np.isfinite(img).all():
+            raise FormatError("%s: non-finite pixel values" % img_path)
         msk = read_pgm(msk_path)
         if msk.shape != (patch, patch):
             raise FormatError(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from seishet import attention
 from seishet.attention import (
     AugmentedAttentionConv,
     RelativeSelfAttention2d,
@@ -340,6 +341,28 @@ def test_attention_gradients_match_finite_difference():
     assert relative_error(gx, num_x) < 1e-5
     for name, arr in attn.params():
         assert relative_error(grads[name], _fd_wrt_array(attn, x, proj, arr)) < 1e-5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_backward_bits_match_numpy_axis4_sum(monkeypatch, dtype):
+    attn = RelativeSelfAttention2d(12, 11, 11, heads=4, d_k=8, d_v=8,
+                                   prng=Prng(78), dtype=dtype)
+    p = Prng(79)
+    x = p.normal(size=(3, 12, 11, 11)).astype(dtype)
+    g = p.normal(size=(3, 8, 11, 11)).astype(dtype)
+
+    def run():
+        _, cache = attn.forward_cache(x)
+        return attn.backward(cache, g)
+
+    gx, grads = run()
+    monkeypatch.setattr(attention, "_sum_axis4", lambda a: a.sum(axis=4))
+    ref_gx, ref_grads = run()
+    assert gx.dtype == dtype
+    assert gx.tobytes() == ref_gx.tobytes()
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert grads[name].tobytes() == ref_grads[name].tobytes(), name
 
 
 def test_augmented_conv_zero_conv_branch_zeroes_leading_channels():

@@ -140,6 +140,17 @@ def test_train_rejects_bad_rate_or_weight(workspace, tmp_path, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--se-ratio", "--heads", "--dk", "--dv"])
+def test_train_rejects_attention_size_a_checkpoint_could_not_hold(workspace, tmp_path,
+                                                                  flag):
+    out = tmp_path / "x.ckpt"
+    r = run_cli("train", "--data", workspace["data"], "--out", out,
+                "--epochs", "1", flag, "4097")
+    assert r.returncode == 2
+    assert "at most 4096" in r.stderr
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- finetune
 
 @pytest.mark.parametrize("flag,value", [("--lr", "0"), ("--pos-weight", "-1")])

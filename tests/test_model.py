@@ -283,6 +283,62 @@ def test_checkpoint_tensor_name_not_utf8(tmp_path):
         load_checkpoint(path)
 
 
+def _tampered_checkpoint(tmp_path, variant, edit):
+    model = build_network(variant, Prng(28))
+    path = str(tmp_path / "t.ckpt")
+    save_checkpoint(model, path)
+    with open(path, "rb") as fh:
+        blob = bytearray(fh.read())
+    edit(blob)
+    with open(path, "wb") as fh:
+        fh.write(bytes(blob))
+    return path
+
+
+@pytest.mark.parametrize("offset,value", [
+    (13, 0),          # se_ratio 0 divided the channel count
+    (17, 0),          # heads 0
+    (21, 0),          # d_k 0
+    (21, 1 << 30),    # d_k whose wq alone would take 400 GB
+])
+def test_checkpoint_implausible_hyperparameters(tmp_path, offset, value):
+    path = _tampered_checkpoint(
+        tmp_path, "self_attention",
+        lambda blob: struct.pack_into("<I", blob, offset, value))
+    with pytest.raises(IntegrityError, match="hyperparameters"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("word", [0x7FC00000, 0x7F800000, 0xFF800000])
+def test_checkpoint_non_finite_tensor(tmp_path, word):
+    # first value of stage1.conv1.weight: after the name and its 4 dims
+    off = 8 + 21 + 4 + len(b"stage1.conv1.weight") + 4 + 16
+    path = _tampered_checkpoint(
+        tmp_path, "se", lambda blob: struct.pack_into("<I", blob, off, word))
+    with pytest.raises(IntegrityError, match="stage1.conv1.weight.*non-finite"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_freeze_flag_must_be_0_or_1(tmp_path):
+    def edit(blob):
+        blob[-1] = 2  # the last freeze flag, for head.bias
+
+    with pytest.raises(FormatError, match="head.bias"):
+        load_checkpoint(_tampered_checkpoint(tmp_path, "se", edit))
+
+
+def test_checkpoint_duplicate_freeze_flag(tmp_path):
+    last = 4 + len(b"head.bias") + 1
+
+    def edit(blob):
+        # overwrite the last freeze entry with a copy of the one before it
+        prev = blob[-last - 4 - len(b"head.weight") - 1:-last]
+        blob[-last:] = prev
+
+    with pytest.raises(IntegrityError, match="duplicate freeze"):
+        load_checkpoint(_tampered_checkpoint(tmp_path, "se", edit))
+
+
 def test_checkpoint_unknown_variant_code(tmp_path):
     model = build_network("se", Prng(24))
     path = str(tmp_path / "t.ckpt")

@@ -1,10 +1,13 @@
 """Numeric core: deterministic streams, activations, gradient oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
+from seishet import numcore
 from seishet.errors import DimensionError, EvaluationError
 from seishet.numcore import (
     Prng,
@@ -128,6 +131,98 @@ def test_gelu_cache_consistent_with_plain_forms():
     y, cdf = gelu_cache(x)
     np.testing.assert_allclose(y, gelu(x), rtol=0, atol=0)
     np.testing.assert_allclose(gelu_grad_cached(x, cdf), gelu_grad(x), atol=0)
+
+
+# Reference erf forms: float64 GeLU must match them bit for bit, float32
+# within 1e-6, and both on edge values.
+def _erf_cdf(x):
+    return 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+
+
+def _erf_pdf_term(x):
+    return x * ((1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_gelu_float64_is_bit_identical_to_erf_forms():
+    x = np.concatenate([Prng(5).normal(std=3.0, size=4000),
+                        np.linspace(-12.0, 12.0, 2001), [0.0, -0.0, 40.0, -40.0]])
+    cdf = _erf_cdf(x)
+    y, cache = gelu_cache(x)
+    assert _same_bits(gelu(x), 0.5 * x * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
+    assert _same_bits(y, x * cdf)
+    assert _same_bits(cache, cdf)
+    assert _same_bits(gelu_grad(x), cdf + _erf_pdf_term(x))
+    assert _same_bits(gelu_grad_cached(x, cache), cdf + _erf_pdf_term(x))
+
+
+def test_gelu_float32_within_1e6_of_float64_erf_forms():
+    x = np.linspace(-12.0, 12.0, 480_001, dtype=np.float32)
+    xd = x.astype(np.float64)
+    cdf = _erf_cdf(xd)
+    grad = cdf + _erf_pdf_term(xd)
+    (phi,) = numcore._gelu_f32(x, ("cdf",))
+    y, cache = gelu_cache(x)
+    assert phi.dtype == y.dtype == cache.dtype == np.float32
+    assert np.abs(phi - cdf).max() <= 1e-6
+    assert np.abs(y - xd * cdf).max() <= 1e-6
+    assert np.abs(cache - grad).max() <= 1e-6
+    assert _same_bits(gelu(x), y)
+    assert _same_bits(gelu_grad(x), cache)
+    assert gelu_grad_cached(x, cache) is cache
+
+
+def test_gelu_float32_edge_values_match_erf_forms():
+    f = np.finfo(np.float32)
+    x = np.array([0.0, -0.0, f.smallest_subnormal, -f.smallest_subnormal,
+                  f.tiny, -f.tiny, 1e-20, -1e-20, 2e19, -2e19, f.max, -f.max,
+                  np.inf, -np.inf, np.nan], dtype=np.float32)
+    with np.errstate(all="ignore"):
+        cdf = _erf_cdf(x)
+        old_value = x * cdf
+        old_grad = cdf + _erf_pdf_term(x)
+    y, cache = gelu_cache(x)
+    # Same bits, signed zeros and NaNs included: gelu(-inf), grad(+-inf)
+    # and everything at NaN are NaN, as in the erf forms.
+    assert _same_bits(y, old_value)
+    assert _same_bits(cache, old_grad)
+    assert np.isnan(y[-2:]).all() and np.isnan(cache[-3:]).all()
+
+
+def test_gelu_float32_emits_no_warning():
+    f = np.finfo(np.float32)
+    x = np.array([f.max, -f.max, 1e30, -1e30, np.inf, -np.inf, np.nan,
+                  f.smallest_subnormal, -0.0], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y, cache = gelu_cache(x)
+        gelu(x)
+        gelu_grad(x)
+        gelu_grad_cached(x, cache)
+        numcore._gelu_f32(x, ("cdf",))
+
+
+def test_gelu_float32_batch_bits_equal_per_patch_across_blocks():
+    block = numcore._GELU_BLOCK
+    # Each patch is larger than one block and starts at a different offset
+    # inside one; the batch also ends partway through a block.
+    shape = (3, block // (45 * 53) + 2, 45, 53)
+    patch = shape[1] * 45 * 53
+    assert patch > block and patch % block
+    x = Prng(6).normal(std=2.5, size=shape).astype(np.float32)
+    y, cache = gelu_cache(x)
+    assert y.shape == cache.shape == shape
+    for b in range(shape[0]):
+        yb, cb = gelu_cache(x[b])
+        assert _same_bits(y[b], yb) and _same_bits(cache[b], cb)
+        assert _same_bits(gelu(x[b]), yb) and _same_bits(gelu_grad(x[b]), cb)
+    # A non-contiguous view gives the same bits as its contiguous copy.
+    view = x.transpose(0, 2, 3, 1)
+    assert _same_bits(gelu(view), gelu(np.ascontiguousarray(view)))
 
 
 def test_sigmoid_values():

@@ -345,3 +345,44 @@ def test_dataset_errors(tmp_path):
 
     with pytest.raises(FormatError):
         read_dataset(str(tmp_path / "nowhere"))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("patch", "44"), ("patch", 44.0), ("patch", [44]), ("patch", None),
+    ("patch", True), ("patch", 0), ("patch", -44),
+    ("count", True), ("count", "2"), ("count", 2.0), ("count", None),
+])
+def test_read_dataset_rejects_non_integer_manifest_fields(tmp_path, field, value):
+    cfg = SyntheticConfig(height=44, width=44, sections=2, seed=11)
+    d = str(tmp_path / "ds")
+    write_dataset(generate_dataset(cfg), d, cfg)
+    man = os.path.join(d, "manifest.json")
+    with open(man) as fh:
+        meta = json.load(fh)
+    meta[field] = value
+    with open(man, "w") as fh:
+        json.dump(meta, fh)
+    with pytest.raises(FormatError, match=field):
+        read_dataset(d)
+
+
+@pytest.mark.parametrize("target,damage,match", [
+    ("manifest.json", lambda b: b"\xff" + b, "malformed manifest"),
+    ("manifest.json", lambda b: b"[1, 2]", "not a JSON object"),
+    ("img_000001.f32", lambda b: b[:8] + b"\x00\x00\xc0\x7f" + b[12:], "non-finite"),
+    ("msk_000000.pgm", None, "msk_000000.pgm: missing"),
+])
+def test_read_dataset_rejects_damaged_files(tmp_path, target, damage, match):
+    cfg = SyntheticConfig(height=44, width=44, sections=2, seed=12)
+    d = str(tmp_path / "ds")
+    write_dataset(generate_dataset(cfg), d, cfg)
+    path = os.path.join(d, target)
+    if damage is None:
+        os.remove(path)
+    else:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(damage(blob))
+    with pytest.raises(FormatError, match=match):
+        read_dataset(d)
