@@ -11,8 +11,11 @@ Two interchangeable mechanisms operate on the 100-channel bottleneck map:
   heads projected back down, optionally run next to a conv branch and
   concatenated with it (attention-augmented convolution).
 
-Every block implements forward_cache/backward pairs whose gradients are
-checked against the finite-difference oracle.
+Each block follows the layer protocol of ``layers``: ``forward``,
+``forward_cache`` and ``backward(cache, g) -> (grad_x, *param_grads)`` in
+``params()`` order. A block's backward passes the caches of its inner
+Dense and Conv2d layers back to them, and its gradients are checked
+against the finite-difference oracle.
 """
 
 import math
@@ -32,97 +35,56 @@ def se_squeeze(x):
     return x.mean(axis=(2, 3))
 
 
-class SeBlock:
-    """Channel-gate MLP: sigmoid(fc2(gelu(fc1(z)))) scales each channel."""
+class SeAttention:
+    """SE channel gate followed by a per-pixel spatial gate, with backward.
+
+    Channel gates sigmoid(fc2(gelu(fc1(z)))) from the squeezed means z
+    scale x; a pointwise conv to one channel plus sigmoid then gates each
+    pixel of the channel-gated map.
+    """
 
     def __init__(self, channels, ratio=4, prng=None, dtype=np.float32):
         if channels % ratio:
             raise ConfigError(
                 "se ratio %d does not divide %d channels" % (ratio, channels)
             )
-        self.channels = int(channels)
-        self.ratio = int(ratio)
         self.fc1 = Dense(channels, channels // ratio, prng, dtype)
         self.fc2 = Dense(channels // ratio, channels, prng, dtype)
-
-    def gate(self, z):
-        return sigmoid(self.fc2.forward(gelu(self.fc1.forward(z))))
-
-
-def se_excite_apply(block, x, z):
-    """Scale x channelwise by the block's gates computed from squeezed z."""
-    return block.gate(z)[:, :, None, None] * x
-
-
-class SpatialAttention:
-    """Pointwise conv to one channel plus sigmoid: a gate per pixel."""
-
-    def __init__(self, channels, prng=None, dtype=np.float32):
-        self.conv = Conv2d(channels, 1, kernel=1, padding=0, prng=prng, dtype=dtype)
-
-
-def spatial_attention_apply(sa, x):
-    """Multiply x by its per-position gate, broadcast over channels."""
-    return sigmoid(sa.conv.forward(x)) * x
-
-
-class SeAttention:
-    """SE channel attention followed by spatial attention, with backward."""
-
-    def __init__(self, channels, ratio=4, prng=None, dtype=np.float32):
-        self.se = SeBlock(channels, ratio, prng, dtype)
-        self.spatial = SpatialAttention(channels, prng, dtype)
+        self.spatial = Conv2d(channels, 1, kernel=1, padding=0, prng=prng, dtype=dtype)
 
     def forward_cache(self, x):
-        hw = x.shape[2] * x.shape[3]
         z = se_squeeze(x)
-        a1 = self.se.fc1.forward(z)
+        a1 = self.fc1.forward(z)
         h1 = gelu(a1)
-        a2 = self.se.fc2.forward(h1)
-        g = sigmoid(a2)
+        g = sigmoid(self.fc2.forward(h1))
         xg = g[:, :, None, None] * x
-        s = self.spatial.conv.forward(xg)
+        s, spatial_cache = self.spatial.forward_cache(xg)
         q = sigmoid(s)
-        y = q * xg
-        cache = (x, z, a1, h1, g, xg, q, hw)
-        return y, cache
+        return q * xg, (x, z, a1, h1, g, xg, q, spatial_cache)
 
     def forward(self, x):
         return self.forward_cache(x)[0]
 
     def backward(self, cache, grad_y):
-        x, z, a1, h1, g, xg, q, hw = cache
+        x, z, a1, h1, g, xg, q, spatial_cache = cache
         gq = (grad_y * xg).sum(axis=1, keepdims=True)
-        gxg = grad_y * q
         gs = gq * q * (1.0 - q)
-        gxg_conv, gw_sp, gb_sp = self.spatial.conv.backward(xg, gs)
-        gxg = gxg + gxg_conv
+        gxg_conv, gw_sp, gb_sp = self.spatial.backward(spatial_cache, gs)
+        gxg = grad_y * q + gxg_conv
         gg = (gxg * x).sum(axis=(2, 3))
         grad_x = gxg * g[:, :, None, None]
         ga2 = gg * g * (1.0 - g)
-        gh1, gw2, gb2 = self.se.fc2.backward(h1, ga2)
+        gh1, gw2, gb2 = self.fc2.backward(h1, ga2)
         ga1 = gh1 * gelu_grad(a1)
-        gz, gw1, gb1 = self.se.fc1.backward(z, ga1)
-        grad_x = grad_x + (gz / hw)[:, :, None, None]
-        grads = {
-            "fc1.weight": gw1,
-            "fc1.bias": gb1,
-            "fc2.weight": gw2,
-            "fc2.bias": gb2,
-            "spatial.weight": gw_sp,
-            "spatial.bias": gb_sp,
-        }
-        return grad_x, grads
+        gz, gw1, gb1 = self.fc1.backward(z, ga1)
+        grad_x = grad_x + (gz / (x.shape[2] * x.shape[3]))[:, :, None, None]
+        return grad_x, gw1, gb1, gw2, gb2, gw_sp, gb_sp
 
     def params(self):
-        return [
-            ("fc1.weight", self.se.fc1.weight),
-            ("fc1.bias", self.se.fc1.bias),
-            ("fc2.weight", self.se.fc2.weight),
-            ("fc2.bias", self.se.fc2.bias),
-            ("spatial.weight", self.spatial.conv.weight),
-            ("spatial.bias", self.spatial.conv.bias),
-        ]
+        return [(prefix + "." + name, arr)
+                for prefix, layer in (("fc1", self.fc1), ("fc2", self.fc2),
+                                      ("spatial", self.spatial))
+                for name, arr in layer.params()]
 
 
 def _relative_to_absolute(rel, size, axis):
@@ -306,16 +268,10 @@ class RelativeSelfAttention2d:
         gvm = merge(gv, self.dv_head, self.d_v)
         gxt = gqm @ self.wq.T + gkm @ self.wk.T + gvm @ self.wv.T
         xf = xt.reshape(-1, self.in_ch)
-        grads = {
-            "wq": xf.T @ gqm.reshape(-1, self.d_k),
-            "wk": xf.T @ gkm.reshape(-1, self.d_k),
-            "wv": xf.T @ gvm.reshape(-1, self.d_v),
-            "wo": gwo,
-            "rel_w": grel_w,
-            "rel_h": grel_h,
-        }
         grad_x = gxt.transpose(0, 2, 1).reshape(b, self.in_ch, h, w)
-        return grad_x, grads
+        return (grad_x, xf.T @ gqm.reshape(-1, self.d_k),
+                xf.T @ gkm.reshape(-1, self.d_k),
+                xf.T @ gvm.reshape(-1, self.d_v), gwo, grel_w, grel_h)
 
     def params(self):
         return [
@@ -326,11 +282,6 @@ class RelativeSelfAttention2d:
             ("rel_w", self.rel_w),
             ("rel_h", self.rel_h),
         ]
-
-
-def multi_head_attention(attn, x):
-    """Full multi-head pass returning (B, d_v, H, W)."""
-    return attn.forward(np.asarray(x))
 
 
 class AugmentedAttentionConv:
@@ -354,30 +305,22 @@ class AugmentedAttentionConv:
                                             d_k, d_v, prng, dtype)
 
     def forward_cache(self, x):
-        y_conv, cols = self.conv.forward_cols(x)
+        y_conv, conv_cache = self.conv.forward_cache(x)
         y_attn, attn_cache = self.attn.forward_cache(x)
         y = np.concatenate([y_conv, y_attn], axis=1)
-        return y, (cols, x.shape, attn_cache)
+        return y, (conv_cache, attn_cache)
 
     def forward(self, x):
         return self.forward_cache(x)[0]
 
     def backward(self, cache, grad_y):
-        cols, x_shape, attn_cache = cache
+        conv_cache, attn_cache = cache
         split = self.conv.out_ch
-        gx_conv, gw, gb = self.conv.backward_cols(cols, x_shape, grad_y[:, :split])
-        gx_attn, attn_grads = self.attn.backward(attn_cache, grad_y[:, split:])
-        grads = {"conv.weight": gw, "conv.bias": gb}
-        for name, g in attn_grads.items():
-            grads["attn." + name] = g
-        return gx_conv + gx_attn, grads
+        gx_conv, *conv_grads = self.conv.backward(conv_cache, grad_y[:, :split])
+        gx_attn, *attn_grads = self.attn.backward(attn_cache, grad_y[:, split:])
+        return (gx_conv + gx_attn, *conv_grads, *attn_grads)
 
     def params(self):
         out = [("conv.weight", self.conv.weight), ("conv.bias", self.conv.bias)]
         out.extend(("attn." + name, p) for name, p in self.attn.params())
         return out
-
-
-def attention_augmented_conv(aac, x):
-    """Forward pass of the augmented block returning (B, out_ch, H, W)."""
-    return aac.forward(np.asarray(x))

@@ -28,7 +28,7 @@ from .model import (
     save_checkpoint,
 )
 from .numcore import Prng
-from .pgm import read_pgm
+from .pgm import read_pgm, read_pgm_with_maxval
 from .segy import (
     export_map,
     open_volume,
@@ -238,7 +238,8 @@ def cmd_predict(args):
 
 def _load_map(path):
     if path.endswith(".pgm"):
-        return read_pgm(path).astype(np.float64) / 255.0
+        pixels, maxval = read_pgm_with_maxval(path)
+        return pixels.astype(np.float64) / maxval
     data = np.loadtxt(path, delimiter=",", dtype=np.float64)
     return np.atleast_2d(data)
 

@@ -9,10 +9,13 @@ it, and _col2im folds columns back; the transposed convolution runs that
 pair in reverse; 1x1 convolutions stay per patch on x's own view. Backward
 passes are checked against loop oracles and the central difference oracle.
 
-Each layer stores its parameters as plain numpy arrays. ``backward`` style
-methods take the forward input (or a cache from ``forward_cols``) plus the
-output gradient and return input and parameter gradients in matching
-shapes.
+Every layer has the same protocol: ``forward(x)`` returns the output and
+keeps nothing; ``forward_cache(x)`` returns ``(y, cache)``; ``backward(cache,
+g)`` returns ``(grad_x, *param_grads)`` with the parameter gradients in
+``params()`` order; ``params()`` lists (name, array) pairs of plain numpy
+arrays. A convolution's cache is its column buffer and input shape, so
+backward never unfolds the input again; the dense and transposed layers
+cache their input.
 """
 
 import math
@@ -131,22 +134,22 @@ class Conv2d:
             return x.reshape(x.shape[0], self.in_ch, -1), x.shape[2], x.shape[3]
         return _im2col(x, self.kernel, self.stride, self.padding)
 
-    def forward_cols(self, x):
-        """Forward pass that also returns the column buffer for backward."""
+    def forward_cache(self, x):
+        """Output plus the (column buffer, input shape) cache backward needs."""
         self._check(x)
         b = x.shape[0]
         cols, ho, wo = self._cols(x)
         wm = self.weight.reshape(self.out_ch, -1)
         y = np.matmul(wm, cols) if self._pointwise() else _per_patch(wm, cols, b)
         y += self.bias[:, None]
-        return y.reshape(b, self.out_ch, ho, wo), cols
+        return y.reshape(b, self.out_ch, ho, wo), (cols, x.shape)
 
     def forward(self, x):
-        y, _ = self.forward_cols(x)
-        return y
+        return self.forward_cache(x)[0]
 
-    def backward_cols(self, cols, x_shape, grad_out, input_grad=True):
+    def backward(self, cache, grad_out, input_grad=True):
         """(grad_x, grad_w, grad_b); grad_x is None when input_grad is False."""
+        cols, x_shape = cache
         b = x_shape[0]
         wm = self.weight.reshape(self.out_ch, -1)
         g = grad_out.reshape(b, self.out_ch, -1)
@@ -161,21 +164,8 @@ class Conv2d:
                              self.padding) if input_grad else None
         return grad_x, grad_w.reshape(self.weight.shape), grad_b
 
-    def backward(self, x, grad_out):
-        self._check(x)
-        cols, _, _ = self._cols(x)
-        return self.backward_cols(cols, x.shape, grad_out)
-
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]
-
-
-def conv2d_forward(layer, x):
-    return layer.forward(np.asarray(x))
-
-
-def conv2d_backward(layer, x, grad_out):
-    return layer.backward(np.asarray(x), np.asarray(grad_out))
 
 
 class Dense:
@@ -196,6 +186,9 @@ class Dense:
                 "dense expects (B,%d), got %s" % (self.in_dim, (x.shape,))
             )
         return x @ self.weight.T + self.bias
+
+    def forward_cache(self, x):
+        return self.forward(x), x
 
     def backward(self, x, grad_out):
         grad_w = grad_out.T @ x
@@ -252,6 +245,9 @@ class TransposedConv2d:
         y = _col2im(stamps, y_shape, self.kernel, self.stride, self.padding)
         y += self.bias[:, None, None]
         return y
+
+    def forward_cache(self, x):
+        return self.forward(x), x
 
     def backward(self, x, grad_out):
         grad_b = grad_out.sum(axis=(0, 2, 3))

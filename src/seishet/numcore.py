@@ -71,21 +71,6 @@ class Prng:
         return self._gen.permutation(n)
 
 
-def matmul(a, b):
-    """Product of two rank-2 tensors."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(
-            "matmul expects rank-2 operands, got ranks %d and %d" % (a.ndim, b.ndim)
-        )
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            "matmul shapes do not chain: %s x %s" % (a.shape, b.shape)
-        )
-    return a @ b
-
-
 # Float32 GeLU: Abramowitz & Stegun 7.1.26 for erf, rewritten for the
 # Gaussian CDF as Phi(-|x|) = poly(t) * exp(-x^2/2) with
 # t = 1 / (1 + p |x| / sqrt 2) and the factor 1/2 folded into the

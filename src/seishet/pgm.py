@@ -22,6 +22,11 @@ def write_pgm(path, array):
 
 def read_pgm(path):
     """Read a binary PGM into a 2D uint8 array."""
+    return read_pgm_with_maxval(path)[0]
+
+
+def read_pgm_with_maxval(path):
+    """Read a binary PGM into (2D uint8 array, maxval from its header)."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] != b"P5":
@@ -59,4 +64,4 @@ def read_pgm(path):
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
     if maxval < 255 and pixels.max() > maxval:
         raise FormatError("%s: PGM pixel values exceed maxval %d" % (path, maxval))
-    return pixels
+    return pixels, maxval

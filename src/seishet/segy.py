@@ -29,7 +29,7 @@ from .errors import (
 )
 from .model import channel_softmax
 from .pgm import read_pgm, write_pgm
-from .synthgen import Sample, normalize_patch
+from .synthgen import Sample
 
 TEXT_HEADER_LEN = 3200
 TRACE_HEADER_LEN = 240
@@ -244,6 +244,32 @@ def nearest_resize(mask, out_h, out_w):
     return mask[np.ix_(yi, xi)]
 
 
+def _window_corners(h, w, src, stride):
+    """Top-left corners of the src x src windows, row by row."""
+    return [(y, x) for y in range(0, h - src + 1, stride)
+            for x in range(0, w - src + 1, stride)]
+
+
+def _prepare_windows(section, corners, src, dst):
+    """Model inputs (N, dst, dst) float32 for the windows at `corners`.
+
+    Each window is bilinearly upscaled first, then min-max normalized to
+    [-1, 1] with normalize_patch's arithmetic (a constant window becomes
+    zeros), so training samples and inference windows match bit for bit.
+    """
+    up = _resize_batch_bilinear(
+        np.stack([section[y:y + src, x:x + src] for y, x in corners]), dst, dst)
+    lo = up.min(axis=(1, 2), keepdims=True)
+    hi = up.max(axis=(1, 2), keepdims=True)
+    flat = hi <= lo
+    up -= lo
+    up *= 2.0
+    up /= np.where(flat, 1.0, hi - lo)
+    up -= 1.0
+    up[flat[:, 0, 0]] = 0.0
+    return up.astype(np.float32)
+
+
 def real_patches(section, mask, src=REAL_PATCH_SRC, dst=REAL_PATCH_DST,
                  stride=REAL_PATCH_STRIDE):
     """Overlapping src x src windows upscaled to dst x dst training samples.
@@ -264,12 +290,12 @@ def real_patches(section, mask, src=REAL_PATCH_SRC, dst=REAL_PATCH_DST,
         raise DimensionError(
             "section %dx%d is smaller than the %d window" % (h, w, src)
         )
+    corners = _window_corners(h, w, src, stride)
+    images = _prepare_windows(section, corners, src, dst)
     out = []
-    for y in range(0, h - src + 1, stride):
-        for x in range(0, w - src + 1, stride):
-            win = bilinear_resize(section[y:y + src, x:x + src], dst, dst)
-            msk = nearest_resize(mask[y:y + src, x:x + src], dst, dst)
-            out.append(Sample(normalize_patch(win), (msk > 0).astype(np.uint8)))
+    for (y, x), image in zip(corners, images):
+        msk = nearest_resize(mask[y:y + src, x:x + src], dst, dst)
+        out.append(Sample(image, (msk > 0).astype(np.uint8)))
     return out
 
 
@@ -277,10 +303,10 @@ def tile_predict(model, section, src=REAL_PATCH_SRC, stride=REAL_PATCH_STRIDE,
                  batch_size=64):
     """Blend per-window heterogeneity probabilities over a whole section.
 
-    Every src x src window is normalized and upscaled exactly like
-    real_patches, pushed through the model, and its probability map is
-    downscaled back onto the window footprint. Overlaps average; pixels no
-    window covers stay 0. The result does not depend on window order.
+    Every src x src window is upscaled and normalized by the same function
+    as in real_patches, pushed through the model, and its probability map
+    is downscaled back onto the window footprint. Overlaps average; pixels
+    no window covers stay 0. The result does not depend on window order.
     """
     section = np.asarray(section, dtype=np.float64)
     if section.ndim != 2:
@@ -290,23 +316,12 @@ def tile_predict(model, section, src=REAL_PATCH_SRC, stride=REAL_PATCH_STRIDE,
         raise DimensionError(
             "section %dx%d is smaller than the %d window" % (h, w, src)
         )
-    positions = [
-        (y, x)
-        for y in range(0, h - src + 1, stride)
-        for x in range(0, w - src + 1, stride)
-    ]
+    corners = _window_corners(h, w, src, stride)
     prob_sum = np.zeros((h, w), dtype=np.float64)
     hits = np.zeros((h, w), dtype=np.float64)
-    dst = REAL_PATCH_DST
-    for start in range(0, len(positions), batch_size):
-        chunk = positions[start:start + batch_size]
-        wins = np.stack([section[y:y + src, x:x + src] for y, x in chunk])
-        lo = wins.min(axis=(1, 2), keepdims=True)
-        hi = wins.max(axis=(1, 2), keepdims=True)
-        rng = hi - lo
-        safe = np.where(rng > 0, rng, 1.0)
-        wins = np.where(rng > 0, 2.0 * (wins - lo) / safe - 1.0, 0.0)
-        up = _resize_batch_bilinear(wins, dst, dst).astype(np.float32)
+    for start in range(0, len(corners), batch_size):
+        chunk = corners[start:start + batch_size]
+        up = _prepare_windows(section, chunk, src, REAL_PATCH_DST)
         prob = channel_softmax(model.forward(up[:, None]))[:, 1]
         down = _resize_batch_bilinear(prob.astype(np.float64), src, src)
         for i, (y, x) in enumerate(chunk):

@@ -19,11 +19,7 @@ from seishet.attention import (
     AugmentedAttentionConv,
     RelativeSelfAttention2d,
     SeAttention,
-    SeBlock,
-    attention_augmented_conv,
-    multi_head_attention,
     relative_logits,
-    se_excite_apply,
     se_squeeze,
     self_attention_head,
 )
@@ -100,7 +96,8 @@ def test_criterion_01_gradient_checks(capsys):
     # plain 3x3 convolution
     conv = Conv2d(3, 4, prng=prng, dtype=np.float64)
     x = prng.uniform(-1.0, 1.0, (2, 3, 5, 5))
-    gx, gw, gb = conv.backward(x, conv.forward(x))
+    y, cache = conv.forward_cache(x)
+    gx, gw, gb = conv.backward(cache, y)
     loss = lambda: 0.5 * float((conv.forward(x) ** 2).sum())
     track(gw, _fd_for_param(conv.weight, loss))
     track(gb, _fd_for_param(conv.bias, loss))
@@ -110,7 +107,8 @@ def test_criterion_01_gradient_checks(capsys):
     # fully connected layer
     dense = Dense(7, 4, prng=prng, dtype=np.float64)
     xd = prng.uniform(-1.0, 1.0, (3, 7))
-    gx, gw, gb = dense.backward(xd, dense.forward(xd))
+    y, cache = dense.forward_cache(xd)
+    gx, gw, gb = dense.backward(cache, y)
     loss = lambda: 0.5 * float((dense.forward(xd) ** 2).sum())
     track(gw, _fd_for_param(dense.weight, loss))
     track(gb, _fd_for_param(dense.bias, loss))
@@ -120,7 +118,8 @@ def test_criterion_01_gradient_checks(capsys):
     # strided transposed convolution
     tconv = TransposedConv2d(4, 3, prng=prng, dtype=np.float64)
     xt = prng.uniform(-1.0, 1.0, (2, 4, 5, 5))
-    gx, gw, gb = tconv.backward(xt, tconv.forward(xt))
+    y, cache = tconv.forward_cache(xt)
+    gx, gw, gb = tconv.backward(cache, y)
     loss = lambda: 0.5 * float((tconv.forward(xt) ** 2).sum())
     track(gw, _fd_for_param(tconv.weight, loss))
     track(gb, _fd_for_param(tconv.bias, loss))
@@ -144,10 +143,10 @@ def test_criterion_01_gradient_checks(capsys):
     _randomize(se, prng)
     xs = prng.uniform(-1.0, 1.0, (2, 8, 3, 3))
     y, cache = se.forward_cache(xs)
-    gx, grads = se.backward(cache, y)
+    gx, *grads = se.backward(cache, y)
     compute = lambda: 0.5 * float((se.forward(xs) ** 2).sum())
-    for name, arr in se.params():
-        track(grads[name], _fd_for_param(arr, compute))
+    for (_, arr), grad in zip(se.params(), grads):
+        track(grad, _fd_for_param(arr, compute))
     track(gx, finite_difference_grad(
         lambda v: 0.5 * float((se.forward(v) ** 2).sum()), xs, 1e-6))
 
@@ -157,10 +156,10 @@ def test_criterion_01_gradient_checks(capsys):
     _randomize(mha, prng)
     xm = prng.uniform(-1.0, 1.0, (2, 5, 4, 4))
     y, cache = mha.forward_cache(xm)
-    gx, grads = mha.backward(cache, y)
+    gx, *grads = mha.backward(cache, y)
     compute = lambda: 0.5 * float((mha.forward(xm) ** 2).sum())
-    for name, arr in mha.params():
-        track(grads[name], _fd_for_param(arr, compute))
+    for (_, arr), grad in zip(mha.params(), grads):
+        track(grad, _fd_for_param(arr, compute))
     track(gx, finite_difference_grad(
         lambda v: 0.5 * float((mha.forward(v) ** 2).sum()), xm, 1e-6))
 
@@ -170,10 +169,10 @@ def test_criterion_01_gradient_checks(capsys):
     _randomize(aac, prng)
     xa = prng.uniform(-1.0, 1.0, (2, 5, 4, 4))
     y, cache = aac.forward_cache(xa)
-    gx, grads = aac.backward(cache, y)
+    gx, *grads = aac.backward(cache, y)
     compute = lambda: 0.5 * float((aac.forward(xa) ** 2).sum())
-    for name, arr in aac.params():
-        track(grads[name], _fd_for_param(arr, compute))
+    for (_, arr), grad in zip(aac.params(), grads):
+        track(grad, _fd_for_param(arr, compute))
     track(gx, finite_difference_grad(
         lambda v: 0.5 * float((aac.forward(v) ** 2).sum()), xa, 1e-6))
 
@@ -271,20 +270,29 @@ def test_criterion_02_equation_loop_oracles(capsys):
             z[bi, c] = x[bi, c].sum() / 12.0
     track(se_squeeze(x), z)
 
-    # channel excite: sigmoid(fc2(gelu(fc1(z)))) gate applied to x
-    block = SeBlock(8, ratio=4, prng=prng, dtype=np.float64)
+    # SE block: the sigmoid(fc2(gelu(fc1(z)))) channel gate applied to x,
+    # then the per-pixel sigmoid of the 1x1 spatial conv times that map
+    block = SeAttention(8, ratio=4, prng=prng, dtype=np.float64)
+    _randomize(block, prng)
     xs = prng.uniform(-1.0, 1.0, (2, 8, 3, 3))
     zs = se_squeeze(xs)
-    gated = np.zeros_like(xs)
+    expected = np.zeros_like(xs)
     for bi in range(2):
         hidden = [_gelu_ref(float(np.dot(block.fc1.weight[j], zs[bi])
                                   + block.fc1.bias[j]))
                   for j in range(2)]
+        gated = np.zeros((8, 3, 3))
         for c in range(8):
             gate = _sigmoid_ref(float(np.dot(block.fc2.weight[c], hidden)
                                       + block.fc2.bias[c]))
-            gated[bi, c] = xs[bi, c] * gate
-    track(se_excite_apply(block, xs, zs), gated)
+            gated[c] = xs[bi, c] * gate
+        for i in range(3):
+            for j in range(3):
+                s = float(block.spatial.bias[0])
+                for c in range(8):
+                    s += float(block.spatial.weight[0, c, 0, 0]) * gated[c, i, j]
+                expected[bi, :, i, j] = _sigmoid_ref(s) * gated[:, i, j]
+    track(block.forward(xs), expected)
 
     # relative position logits on a 3x3 grid
     q = prng.uniform(-1.0, 1.0, (9, 3))
@@ -302,7 +310,7 @@ def test_criterion_02_equation_loop_oracles(capsys):
                                   prng=prng, dtype=np.float64)
     _randomize(mha, prng)
     xm = prng.uniform(-1.0, 1.0, (2, 4, 3, 3))
-    track(multi_head_attention(mha, xm), _loop_mha(mha, xm))
+    track(mha.forward(xm), _loop_mha(mha, xm))
 
     # augmented convolution: conv channels then attention channels
     aac = AugmentedAttentionConv(4, 7, 3, 3, heads=2, d_k=4, d_v=4,
@@ -313,11 +321,11 @@ def test_criterion_02_equation_loop_oracles(capsys):
         [_loop_conv3x3(aac.conv.weight, aac.conv.bias, xa), _loop_mha(aac.attn, xa)],
         axis=1,
     )
-    track(attention_augmented_conv(aac, xa), expected)
+    track(aac.forward(xa), expected)
 
     ok = worst < 1e-6
     _report(capsys, 2, ok,
-            "squeeze/excite/logits/head/mha/augmented-conv vs loop oracles:"
+            "squeeze/se-attention/logits/head/mha/augmented-conv vs loop oracles:"
             " max abs dev %.2e (< 1e-6)" % worst)
 
 

@@ -10,15 +10,9 @@ from seishet.attention import (
     AugmentedAttentionConv,
     RelativeSelfAttention2d,
     SeAttention,
-    SeBlock,
-    SpatialAttention,
-    attention_augmented_conv,
-    multi_head_attention,
     relative_logits,
-    se_excite_apply,
     se_squeeze,
     self_attention_head,
-    spatial_attention_apply,
 )
 from seishet.errors import ConfigError, DimensionError
 from seishet.numcore import (
@@ -73,25 +67,31 @@ def test_se_squeeze_rejects_wrong_rank():
 
 def test_se_block_rejects_indivisible_ratio():
     with pytest.raises(ConfigError):
-        SeBlock(10, ratio=4)
+        SeAttention(10, ratio=4)
+
+
+def _se_gates_and_gated_map(block, x):
+    """Channel gates and the channel-gated map, from the forward cache."""
+    _, (_, _, _, _, gates, gated, _, _) = block.forward_cache(x)
+    return gates, gated
 
 
 def test_se_excite_zero_weights_halves_input():
-    block = SeBlock(8, ratio=4, dtype=np.float64)
+    block = SeAttention(8, ratio=4, dtype=np.float64)
     x = Prng(51).normal(size=(2, 8, 3, 3))
-    np.testing.assert_allclose(se_excite_apply(block, x, se_squeeze(x)), 0.5 * x)
+    np.testing.assert_allclose(_se_gates_and_gated_map(block, x)[1], 0.5 * x)
 
 
 def test_se_excite_saturated_gate_approaches_identity():
-    block = SeBlock(8, ratio=4, dtype=np.float64)
+    block = SeAttention(8, ratio=4, dtype=np.float64)
     block.fc2.bias[:] = 30.0
     x = Prng(52).normal(size=(1, 8, 4, 4))
-    y = se_excite_apply(block, x, se_squeeze(x))
+    y = _se_gates_and_gated_map(block, x)[1]
     assert np.abs(y - x).max() < 1e-4
 
 
 def test_se_excite_matches_direct_composition():
-    block = SeBlock(8, ratio=4, dtype=np.float64)
+    block = SeAttention(8, ratio=4, dtype=np.float64)
     p = Prng(53)
     _randomize(block.fc1.params(), p)
     _randomize(block.fc2.params(), p)
@@ -100,37 +100,39 @@ def test_se_excite_matches_direct_composition():
     hidden = gelu(z @ block.fc1.weight.T + block.fc1.bias)
     gate = sigmoid(hidden @ block.fc2.weight.T + block.fc2.bias)
     expect = gate[:, :, None, None] * x
-    np.testing.assert_allclose(se_excite_apply(block, x, z), expect, atol=1e-6)
+    np.testing.assert_allclose(_se_gates_and_gated_map(block, x)[1], expect, atol=1e-6)
 
 
 def test_se_gate_override_of_one_returns_input_bit_exactly():
-    block = SeBlock(8, ratio=4, dtype=np.float64)
-    block.gate = lambda z: np.ones((z.shape[0], 8))
+    block = SeAttention(8, ratio=4, dtype=np.float64)
+    block.fc2.bias[:] = 40.0  # sigmoid(40) rounds to 1.0 in float64
+    block.spatial.bias[:] = 40.0
     x = Prng(54).normal(size=(2, 8, 3, 3))
-    np.testing.assert_array_equal(se_excite_apply(block, x, se_squeeze(x)), x)
+    np.testing.assert_array_equal(block.forward(x), x)
 
 
 def test_se_gates_strictly_inside_unit_interval():
-    block = SeBlock(8, ratio=4, dtype=np.float64)
+    block = SeAttention(8, ratio=4, dtype=np.float64)
     p = Prng(55)
     _randomize(block.fc1.params(), p)
     _randomize(block.fc2.params(), p)
-    g = block.gate(p.normal(size=(16, 8)))
+    g = _se_gates_and_gated_map(block, p.normal(size=(16, 8, 2, 2)))[0]
     assert g.min() > 0.0 and g.max() < 1.0
 
 
 def test_spatial_attention_zero_weights_halves_input():
-    sa = SpatialAttention(6, dtype=np.float64)
-    x = Prng(56).normal(size=(2, 6, 4, 4))
-    np.testing.assert_allclose(spatial_attention_apply(sa, x), 0.5 * x)
+    block = SeAttention(8, ratio=4, dtype=np.float64)
+    x = Prng(56).normal(size=(2, 8, 4, 4))
+    y = block.forward(x)
+    np.testing.assert_allclose(y, 0.5 * _se_gates_and_gated_map(block, x)[1])
 
 
 def test_spatial_gate_unchanged_by_channel_permutation():
-    sa = SpatialAttention(6, dtype=np.float64)
+    block = SeAttention(6, ratio=3, dtype=np.float64)
     x = Prng(57).normal(size=(1, 6, 4, 4))
     perm = np.array([3, 1, 5, 0, 4, 2])
-    gate = sigmoid(sa.conv.forward(x))
-    gate_p = sigmoid(sa.conv.forward(x[:, perm]))
+    gate = sigmoid(block.spatial.forward(x))
+    gate_p = sigmoid(block.spatial.forward(x[:, perm]))
     np.testing.assert_array_equal(gate, gate_p)
 
 
@@ -145,9 +147,10 @@ def _random_se_attention(channels=8, seed=58):
 def test_se_attention_forward_is_gate_composition():
     block = _random_se_attention()
     x = Prng(59).normal(size=(2, 8, 3, 3))
-    z = se_squeeze(x)
-    xg = se_excite_apply(block.se, x, z)
-    expect = spatial_attention_apply(block.spatial, xg)
+    hidden = gelu(se_squeeze(x) @ block.fc1.weight.T + block.fc1.bias)
+    gate = sigmoid(hidden @ block.fc2.weight.T + block.fc2.bias)
+    xg = gate[:, :, None, None] * x
+    expect = sigmoid(block.spatial.forward(xg)) * xg
     np.testing.assert_allclose(block.forward(x), expect, atol=1e-12)
 
 
@@ -157,12 +160,12 @@ def test_se_attention_gradients_match_finite_difference():
     x = p.normal(size=(2, 8, 3, 3))
     proj = p.normal(size=(2, 8, 3, 3))
     y, cache = block.forward_cache(x)
-    gx, grads = block.backward(cache, proj)
+    gx, *grads = block.backward(cache, proj)
     num_x = finite_difference_grad(
         lambda v: float((block.forward(v) * proj).sum()), x)
     assert relative_error(gx, num_x) < 1e-5
-    for name, arr in block.params():
-        assert relative_error(grads[name], _fd_wrt_array(block, x, proj, arr)) < 1e-5
+    for (_, arr), grad in zip(block.params(), grads):
+        assert relative_error(grad, _fd_wrt_array(block, x, proj, arr)) < 1e-5
 
 
 def test_relative_logits_zero_queries_give_zero():
@@ -285,7 +288,7 @@ def test_multi_head_single_head_equals_head_plus_projection():
     head = self_attention_head(
         xt @ attn.wq, xt @ attn.wk, xt @ attn.wv, attn.rel_w, attn.rel_h)
     expect = (head @ attn.wo).T.reshape(1, 4, 2, 2)
-    np.testing.assert_allclose(multi_head_attention(attn, x), expect, atol=1e-10)
+    np.testing.assert_allclose(attn.forward(x), expect, atol=1e-10)
 
 
 def test_multi_head_identity_projection_returns_raw_head():
@@ -296,7 +299,7 @@ def test_multi_head_identity_projection_returns_raw_head():
     head = self_attention_head(
         xt @ attn.wq, xt @ attn.wk, xt @ attn.wv, attn.rel_w, attn.rel_h)
     np.testing.assert_allclose(
-        multi_head_attention(attn, x), head.T.reshape(1, 4, 2, 2), atol=1e-10)
+        attn.forward(x), head.T.reshape(1, 4, 2, 2), atol=1e-10)
 
 
 def test_attention_rows_are_stochastic():
@@ -335,12 +338,12 @@ def test_attention_gradients_match_finite_difference():
     x = p.normal(size=(2, 6, 2, 2))
     proj = p.normal(size=(2, 4, 2, 2))
     _, cache = attn.forward_cache(x)
-    gx, grads = attn.backward(cache, proj)
+    gx, *grads = attn.backward(cache, proj)
     num_x = finite_difference_grad(
         lambda v: float((attn.forward(v) * proj).sum()), x)
     assert relative_error(gx, num_x) < 1e-5
-    for name, arr in attn.params():
-        assert relative_error(grads[name], _fd_wrt_array(attn, x, proj, arr)) < 1e-5
+    for (_, arr), grad in zip(attn.params(), grads):
+        assert relative_error(grad, _fd_wrt_array(attn, x, proj, arr)) < 1e-5
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -355,14 +358,13 @@ def test_attention_backward_bits_match_numpy_axis4_sum(monkeypatch, dtype):
         _, cache = attn.forward_cache(x)
         return attn.backward(cache, g)
 
-    gx, grads = run()
+    got = run()
     monkeypatch.setattr(attention, "_sum_axis4", lambda a: a.sum(axis=4))
-    ref_gx, ref_grads = run()
-    assert gx.dtype == dtype
-    assert gx.tobytes() == ref_gx.tobytes()
-    assert grads.keys() == ref_grads.keys()
-    for name in grads:
-        assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+    ref = run()
+    assert got[0].dtype == dtype
+    assert len(got) == len(ref) == 1 + len(attn.params())
+    for name, g, r in zip(["x"] + [n for n, _ in attn.params()], got, ref):
+        assert g.tobytes() == r.tobytes(), name
 
 
 def test_augmented_conv_zero_conv_branch_zeroes_leading_channels():
@@ -370,7 +372,7 @@ def test_augmented_conv_zero_conv_branch_zeroes_leading_channels():
     p = Prng(78)
     for _, arr in aac.attn.params():
         arr[...] = p.normal(std=0.5, size=arr.shape)
-    y = attention_augmented_conv(aac, p.normal(size=(1, 5, 4, 4)))
+    y = aac.forward(p.normal(size=(1, 5, 4, 4)))
     assert y.shape == (1, 7, 4, 4)
     np.testing.assert_array_equal(y[:, :3], np.zeros((1, 3, 4, 4)))
     assert np.abs(y[:, 3:]).max() > 0.0
@@ -389,9 +391,9 @@ def test_augmented_conv_gradients_match_finite_difference():
     x = p.normal(size=(1, 5, 4, 4))
     proj = p.normal(size=(1, 7, 4, 4))
     _, cache = aac.forward_cache(x)
-    gx, grads = aac.backward(cache, proj)
+    gx, *grads = aac.backward(cache, proj)
     num_x = finite_difference_grad(
         lambda v: float((aac.forward(v) * proj).sum()), x)
     assert relative_error(gx, num_x) < 1e-5
-    for name, arr in aac.params():
-        assert relative_error(grads[name], _fd_wrt_array(aac, x, proj, arr)) < 1e-5
+    for (_, arr), grad in zip(aac.params(), grads):
+        assert relative_error(grad, _fd_wrt_array(aac, x, proj, arr)) < 1e-5

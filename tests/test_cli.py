@@ -292,6 +292,16 @@ def test_eval_identical_masks_score_one(tmp_path):
     assert payload["f1"] == 1.0
 
 
+def test_eval_scales_prediction_by_its_own_maxval(tmp_path):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(b"P5\n4 1\n1\n\x00\x01\x01\x00")
+    r = run_cli("eval", "--pred", path, "--truth", path)
+    assert r.returncode == 0
+    payload = json.loads(r.stdout.splitlines()[-1])
+    assert payload["iou"] == 1.0
+    assert payload["tp"] == 2 and payload["fn"] == 0
+
+
 def test_eval_json_schema(tmp_path):
     truth = (Prng(71).uniform(0.0, 1.0, (12, 12)) > 0.7).astype(np.uint8) * 255
     pred = (Prng(72).uniform(0.0, 1.0, (12, 12)) > 0.7).astype(np.uint8) * 255

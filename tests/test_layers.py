@@ -10,8 +10,6 @@ from seishet.layers import (
     Conv2d,
     Dense,
     TransposedConv2d,
-    conv2d_backward,
-    conv2d_forward,
     cross_entropy_2class,
     glorot_init,
     maxpool2d,
@@ -46,7 +44,7 @@ def test_conv_identity_kernel_reproduces_input():
     layer = Conv2d(1, 1, kernel=3, padding=1, dtype=np.float64)
     layer.weight[0, 0, 1, 1] = 1.0
     x = Prng(1).normal(size=(1, 1, 3, 3))
-    np.testing.assert_allclose(conv2d_forward(layer, x), x, atol=0)
+    np.testing.assert_allclose(layer.forward(x), x, atol=0)
 
 
 def test_conv_all_ones_counts_window():
@@ -120,7 +118,8 @@ def test_conv_batch_decomposition():
 def test_conv_backward_zero_grad():
     layer = _conv64(2, 3, seed=2)
     x = Prng(3).normal(size=(1, 2, 5, 5))
-    gx, gw, gb = layer.backward(x, np.zeros((1, 3, 5, 5)))
+    _, cache = layer.forward_cache(x)
+    gx, gw, gb = layer.backward(cache, np.zeros((1, 3, 5, 5)))
     assert not gx.any() and not gw.any() and not gb.any()
 
 
@@ -129,7 +128,7 @@ def test_conv_backward_single_pixel_recovers_window():
     x = Prng(4).normal(size=(1, 1, 5, 5))
     g = np.zeros((1, 1, 3, 3))
     g[0, 0, 1, 2] = 1.0
-    _, gw, gb = layer.backward(x, g)
+    _, gw, gb = layer.backward(layer.forward_cache(x)[1], g)
     np.testing.assert_array_equal(gw[0, 0], x[0, 0, 1:4, 2:5])
     assert gb[0] == 1.0
 
@@ -139,7 +138,7 @@ def test_conv_backward_matches_finite_difference():
     p = Prng(8)
     x = p.normal(size=(2, 2, 4, 4))
     proj = p.normal(size=(2, 3, 4, 4))
-    gx, gw, gb = conv2d_backward(layer, x, proj)
+    gx, gw, gb = layer.backward(layer.forward_cache(x)[1], proj)
 
     def loss_wrt(name):
         def f(v):
@@ -268,9 +267,9 @@ def test_conv_backward_without_input_gradient():
     p = Prng(17)
     x = p.normal(size=(2, 2, 5, 5))
     g = p.normal(size=(2, 3, 5, 5))
-    y, cols = layer.forward_cols(x)
-    gx, gw, gb = layer.backward_cols(cols, x.shape, g)
-    none, gw2, gb2 = layer.backward_cols(cols, x.shape, g, input_grad=False)
+    y, cache = layer.forward_cache(x)
+    gx, gw, gb = layer.backward(cache, g)
+    none, gw2, gb2 = layer.backward(cache, g, input_grad=False)
     assert none is None and gx.shape == x.shape
     np.testing.assert_array_equal(gw2, gw)
     np.testing.assert_array_equal(gb2, gb)

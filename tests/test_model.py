@@ -15,7 +15,6 @@ from seishet.model import (
     channel_softmax,
     count_params_flops,
     flops_table,
-    forward,
     load_checkpoint,
     parameter_table,
     save_checkpoint,
@@ -67,7 +66,7 @@ def self_attention_param_oracle(heads=4, d_k=32, d_v=32, grid=GRID):
 
 def test_forward_shape_and_finiteness():
     model = build_network("se", Prng(1))
-    y = forward(model, np.zeros((1, 1, 44, 44), dtype=np.float32))
+    y = model.forward(np.zeros((1, 1, 44, 44), dtype=np.float32))
     assert y.shape == (1, 2, 44, 44)
     assert np.isfinite(y).all()
 
@@ -155,6 +154,19 @@ def test_grads_cover_every_parameter():
         assert set(grads) == set(params)
         for name in params:
             assert grads[name].shape == params[name].shape, name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("variant", ["se", "self_attention"])
+def test_forward_logits_equal_training_logits_bit_for_bit(variant, dtype):
+    model = build_network(variant, Prng(18), dtype=dtype)
+    p = Prng(19)
+    x = p.normal(size=(3, 1, 44, 44)).astype(dtype)
+    target = (p.uniform(0.0, 1.0, size=(3, 44, 44)) > 0.7).astype(np.uint8)
+    _, logits, _ = model.loss_and_grads(x, target)
+    y = model.forward(x)
+    assert y.dtype == logits.dtype == dtype
+    assert y.tobytes() == logits.tobytes()
 
 
 @pytest.mark.parametrize("variant", ["se", "self_attention"])

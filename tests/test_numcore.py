@@ -16,7 +16,6 @@ from seishet.numcore import (
     gelu_cache,
     gelu_grad,
     gelu_grad_cached,
-    matmul,
     relative_error,
     sigmoid,
     softmax_lastdim,
@@ -74,38 +73,6 @@ def test_splitmix64_spreads_and_masks():
     assert splitmix64(0) != 0
     assert 0 <= splitmix64(2**64 - 1) < 2**64
     assert splitmix64(1) != splitmix64(2)
-
-
-def test_matmul_identity():
-    i2 = np.eye(2)
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_array_equal(matmul(i2, m), m)
-
-
-def test_matmul_projector_selects_row():
-    p = np.array([[1.0, 0.0], [0.0, 0.0]])
-    m = np.array([[5.0, 6.0], [7.0, 8.0]])
-    np.testing.assert_array_equal(matmul(p, m), [[5.0, 6.0], [0.0, 0.0]])
-
-
-def test_matmul_matches_triple_loop_oracle_exactly():
-    prng = Prng(11)
-    # integer-valued floats keep every partial sum exact
-    a = prng.randint(-9, 9, size=(3, 4)).astype(np.float64)
-    b = prng.randint(-9, 9, size=(4, 2)).astype(np.float64)
-    oracle = np.zeros((3, 2))
-    for i in range(3):
-        for j in range(2):
-            for k in range(4):
-                oracle[i, j] += a[i, k] * b[k, j]
-    np.testing.assert_array_equal(matmul(a, b), oracle)
-
-
-def test_matmul_shape_errors_name_shapes():
-    with pytest.raises(DimensionError, match=r"\(2, 3\)"):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(DimensionError):
-        matmul(np.zeros(3), np.zeros((3, 2)))
 
 
 def test_gelu_zero_and_saturation():

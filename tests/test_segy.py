@@ -36,6 +36,7 @@ from seishet.segy import (
     tile_predict,
     write_raw_section,
 )
+from seishet.synthgen import normalize_patch
 
 
 # ---------------------------------------------------------------- IBM floats
@@ -629,16 +630,36 @@ def test_tile_predict_matches_explicit_accumulation():
     hits = np.zeros((30, 30))
     for y in (0, 10):
         for x in (0, 10):
-            win = section[y:y + 20, x:x + 20]
-            lo, hi = win.min(), win.max()
-            win = 2.0 * (win - lo) / (hi - lo) - 1.0
-            up = bilinear_resize(win, 44, 44).astype(np.float32)
+            up = normalize_patch(bilinear_resize(section[y:y + 20, x:x + 20], 44, 44))
             prob = channel_softmax(model.forward(up[None, None]))[0, 1]
             down = bilinear_resize(prob.astype(np.float64), 20, 20)
             prob_sum[y:y + 20, x:x + 20] += down
             hits[y:y + 20, x:x + 20] += 1.0
     expected = np.where(hits > 0, prob_sum / np.maximum(hits, 1.0), 0.0)
     assert np.allclose(out, expected, atol=1e-5)
+
+
+class _RecordingModel(_ConstantLogitModel):
+    """The constant model, keeping a copy of every batch it is given."""
+
+    def __init__(self):
+        self.batches = []
+
+    def forward(self, batch):
+        self.batches.append(batch.copy())
+        return super().forward(batch)
+
+
+def test_tile_predict_windows_equal_real_patches_images_bit_for_bit():
+    section = Prng(16).normal(size=(41, 52)) * 300.0
+    section[:20, :20] = 2.0  # a constant window becomes zeros in both
+    model = _RecordingModel()
+    tile_predict(model, section, batch_size=5)
+    windows = np.concatenate(model.batches)[:, 0]
+    images = [s.image for s in real_patches(section, np.zeros(section.shape))]
+    assert windows.shape == (len(images), 44, 44)
+    for win, image in zip(windows, images):
+        assert win.tobytes() == image.tobytes()
 
 
 def test_tile_predict_batch_size_does_not_change_result():
