@@ -2,20 +2,20 @@
 
 All spatial operators follow the cross-correlation convention (no kernel
 flip) and pad with zeros. Activations live in (batch, channel, height,
-width) order. A convolution unfolds its input into one channel-major
-im2col buffer (C*k*k, B*Ho*Wo): weight and column gradients are one GEMM
-each over the batch, forward one product per patch over strided views of
-it, and _col2im folds columns back; the transposed convolution runs that
-pair in reverse; 1x1 convolutions stay per patch on x's own view. Backward
-passes are checked against loop oracles and the central difference oracle.
+width) order. A k x k convolution works from its input zero-padded once
+into a channel-major flat buffer in which every kernel tap is a
+contiguous slice (see Conv2d); the transposed convolution scatters with
+_col2im and gathers with _im2col; 1x1 convolutions stay per patch on x's
+own view. Backward passes are checked against loop oracles and the
+central difference oracle.
 
 Every layer has the same protocol: ``forward(x)`` returns the output and
 keeps nothing; ``forward_cache(x)`` returns ``(y, cache)``; ``backward(cache,
 g)`` returns ``(grad_x, *param_grads)`` with the parameter gradients in
 ``params()`` order; ``params()`` lists (name, array) pairs of plain numpy
-arrays. A convolution's cache is its column buffer and input shape, so
-backward never unfolds the input again; the dense and transposed layers
-cache their input.
+arrays. A convolution's cache is its flat padded input and input shape,
+about the size of the input itself; the dense and transposed layers cache
+their input.
 """
 
 import math
@@ -24,6 +24,10 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import DimensionError, LabelError
+
+# Working set of one block of a Conv2d pass: near the cache size, yet
+# wide enough for efficient BLAS products.
+_BLOCK_BYTES = 1 << 22
 
 
 def glorot_init(shape, prng, dtype=np.float32):
@@ -46,22 +50,48 @@ def glorot_init(shape, prng, dtype=np.float32):
     return prng.uniform(-bound, bound, size=shape, dtype=dtype)
 
 
-def _im2col(x, kernel, stride, padding):
-    """Unfold (B,C,H,W) into (C*k*k, B*Ho*Wo) columns plus output dims.
+def _pad_flat(x, kernel, padding):
+    """Zero-pad (B,C,H,W) once into a channel-major flat buffer.
+
+    Returns xf of shape (C, B*Hp*Wp + (k-1)*(Wp+1)): the padded pixel
+    (b, c, y, x) sits at xf[c, (b*Hp + y)*Wp + x], so kernel tap (i, j)
+    over the whole padded grid is the contiguous slice that starts at
+    i*Wp + j, and the zero tail keeps the last tap's slice in bounds.
+    """
+    b, c, h, w = x.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    n = b * hp * wp
+    xf = np.zeros((c, n + (kernel - 1) * (wp + 1)), dtype=x.dtype)
+    grid = xf[:, :n].reshape(c, b, hp, wp)
+    grid[:, :, padding:padding + h, padding:padding + w] = x.transpose(1, 0, 2, 3)
+    return xf
+
+
+def _grid(x_shape, kernel, stride, padding):
+    """(Hp, Wp, Ho, Wo): padded input and output sizes of a convolution."""
+    hp, wp = x_shape[2] + 2 * padding, x_shape[3] + 2 * padding
+    return hp, wp, (hp - kernel) // stride + 1, (wp - kernel) // stride + 1
+
+
+def _valid(a, b, hp, wp, ho, wo, stride):
+    """(B, R, Ho, Wo) view of the strided outputs in a (R, B*Hp*Wp) grid."""
+    grid = a.reshape(a.shape[0], b, hp, wp)
+    return grid[:, :, :stride * ho:stride, :stride * wo:stride].transpose(1, 0, 2, 3)
+
+
+def _im2col(xf, x_shape, kernel, stride, padding):
+    """Gather (C*k*k, B*Ho*Wo) columns from a flat buffer, plus Ho and Wo.
 
     Row (c*k + i)*k + j, column (b*Ho + y)*Wo + x holds the padded input at
     (b, c, y*stride + i, x*stride + j); overhanging windows are dropped.
     """
-    b, c = x.shape[:2]
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    ho = (x.shape[2] - kernel) // stride + 1
-    wo = (x.shape[3] - kernel) // stride + 1
-    s0, s1, s2, s3 = x.strides
+    b, c = x_shape[:2]
+    hp, wp, ho, wo = _grid(x_shape, kernel, stride, padding)
+    s0, s1 = xf.strides
     view = as_strided(
-        x,
+        xf,
         (c, kernel, kernel, b, ho, wo),
-        (s1, s2, s3, s0, s2 * stride, s3 * stride),
+        (s0, wp * s1, s1, hp * wp * s1, stride * wp * s1, stride * s1),
         writeable=False,
     )
     return view.reshape(c * kernel * kernel, b * ho * wo), ho, wo
@@ -70,9 +100,7 @@ def _im2col(x, kernel, stride, padding):
 def _col2im(gcols, x_shape, kernel, stride, padding):
     """Adjoint of _im2col: scatter-add channel-major columns onto (B,C,H,W)."""
     b, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    ho = (hp - kernel) // stride + 1
-    wo = (wp - kernel) // stride + 1
+    hp, wp, ho, wo = _grid(x_shape, kernel, stride, padding)
     g = gcols.reshape(c, kernel, kernel, b, ho, wo)
     gx = np.zeros((c, b, hp, wp), dtype=gcols.dtype)
     for i in range(kernel):
@@ -91,13 +119,24 @@ def _per_patch(wm, cols, b):
     """wm times each patch's strided view of channel-major cols: (B, O, P).
 
     One product per patch rounds each patch the same alone or in any batch;
-    a single GEMM over all B*P columns does not.
+    a single GEMM over all B*P columns does not: float64 BLAS rounds the last
+    N mod 8 columns of a product its own way, and here they are outputs.
     """
     return np.matmul(wm, cols.reshape(cols.shape[0], b, -1).transpose(1, 0, 2))
 
 
 class Conv2d:
-    """2D convolution (cross-correlation) with zero padding and bias."""
+    """2D convolution (cross-correlation) with zero padding and bias.
+
+    The input is zero-padded once into a channel-major flat buffer (see
+    _pad_flat); the training tape keeps only that. With out_ch > in_ch the
+    forward gathers the k*k-fold columns of the narrower input once and
+    takes one product per patch, since k*k passes over the wider output
+    would cost more; otherwise it sums k*k tap products over the padded
+    grid. Backward works from the same buffer, in blocks of grid columns:
+    grad_w gathers one block's taps at a time, and grad_x adds one block's
+    tap products in tap order.
+    """
 
     def __init__(self, in_ch, out_ch, kernel=3, stride=1, padding=1,
                  prng=None, dtype=np.float32):
@@ -128,41 +167,136 @@ class Conv2d:
     def _pointwise(self):
         return self.kernel == 1 and self.stride == 1 and self.padding == 0
 
-    def _cols(self, x):
-        """Column buffer; a pointwise conv just views x as (B, C, H*W)."""
-        if self._pointwise():
-            return x.reshape(x.shape[0], self.in_ch, -1), x.shape[2], x.shape[3]
-        return _im2col(x, self.kernel, self.stride, self.padding)
+    def _taps(self, wp):
+        """(k*k, O, C) tap weight matrices and each tap's flat offset i*wp + j."""
+        k = self.kernel
+        w = np.ascontiguousarray(self.weight.transpose(2, 3, 0, 1))
+        offsets = [i * wp + j for i in range(k) for j in range(k)]
+        return w.reshape(k * k, self.out_ch, self.in_ch), offsets
 
     def forward_cache(self, x):
-        """Output plus the (column buffer, input shape) cache backward needs."""
+        """Output plus the (flat padded input, input shape) cache backward needs."""
         self._check(x)
         b = x.shape[0]
-        cols, ho, wo = self._cols(x)
-        wm = self.weight.reshape(self.out_ch, -1)
-        y = np.matmul(wm, cols) if self._pointwise() else _per_patch(wm, cols, b)
-        y += self.bias[:, None]
-        return y.reshape(b, self.out_ch, ho, wo), (cols, x.shape)
+        if self._pointwise():
+            cols = x.reshape(b, self.in_ch, -1)
+            y = np.matmul(self.weight.reshape(self.out_ch, -1), cols)
+            y = y.reshape(b, self.out_ch, *x.shape[2:])
+            cache = (cols, x.shape)
+        else:
+            k, s, p = self.kernel, self.stride, self.padding
+            xf = _pad_flat(x, k, p)
+            if self.out_ch > self.in_ch:
+                cols, ho, wo = _im2col(xf, x.shape, k, s, p)
+                y = _per_patch(self.weight.reshape(self.out_ch, -1), cols, b)
+                y = y.reshape(b, self.out_ch, ho, wo)
+            else:
+                y = self._tap_sum(xf, x.shape)
+            cache = (xf, x.shape)
+        y += self.bias[:, None, None]
+        return y, cache
+
+    def _tap_sum(self, xf, x_shape):
+        """Sum of the k*k tap products over the padded grid, valid outputs only.
+
+        Runs a block of whole patches at a time, so that the running sum and
+        one tap's product fit in _BLOCK_BYTES. A patch's outputs come out the
+        same alone or in any batch: the last N mod 8 columns of a product,
+        which float64 BLAS rounds its own way, are the last patch's bottom
+        padding rows, which hold no output.
+        """
+        b = x_shape[0]
+        hp, wp, ho, wo = _grid(x_shape, self.kernel, self.stride, self.padding)
+        grid = hp * wp
+        per = max(1, min(b, _BLOCK_BYTES // (2 * self.out_ch * grid * xf.itemsize)))
+        weights, offsets = self._taps(wp)
+        total, part = np.empty((2, self.out_ch, per * grid), dtype=xf.dtype)
+        y = np.empty((b, self.out_ch, ho, wo), dtype=xf.dtype)
+        for b0 in range(0, b, per):
+            nb = min(per, b - b0)
+            m, q = nb * grid, b0 * grid
+            acc = np.matmul(weights[0], xf[:, q:q + m], out=total[:, :m])
+            for w_t, off in zip(weights[1:], offsets[1:]):
+                acc += np.matmul(w_t, xf[:, q + off:q + off + m], out=part[:, :m])
+            y[b0:b0 + nb] = _valid(acc, nb, hp, wp, ho, wo, self.stride)
+        return y
 
     def forward(self, x):
         return self.forward_cache(x)[0]
 
     def backward(self, cache, grad_out, input_grad=True):
         """(grad_x, grad_w, grad_b); grad_x is None when input_grad is False."""
-        cols, x_shape = cache
-        b = x_shape[0]
-        wm = self.weight.reshape(self.out_ch, -1)
+        b = cache[1][0]
         g = grad_out.reshape(b, self.out_ch, -1)
         grad_b = g.sum(axis=(0, 2))
         if self._pointwise():
+            cols, x_shape = cache
             grad_w = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
+            wm = self.weight.reshape(self.out_ch, -1)
             grad_x = np.matmul(wm.T, g).reshape(x_shape) if input_grad else None
-        else:
-            g = _channel_major(grad_out)
-            grad_w = g @ cols.T
-            grad_x = _col2im(wm.T @ g, x_shape, self.kernel, self.stride,
-                             self.padding) if input_grad else None
-        return grad_x, grad_w.reshape(self.weight.shape), grad_b
+            return grad_x, grad_w.reshape(self.weight.shape), grad_b
+        xf, x_shape = cache
+        k, s, p = self.kernel, self.stride, self.padding
+        hp, wp, ho, wo = _grid(x_shape, k, s, p)
+        n = b * hp * wp
+        # the output gradient on the padded grid, zero where no output is
+        gf = np.zeros((self.out_ch, n), dtype=grad_out.dtype)
+        _valid(gf, b, hp, wp, ho, wo, s)[...] = grad_out
+        grad_w = self._weight_grad(xf, gf, wp, n)
+        if not input_grad:
+            return None, grad_w, grad_b
+        gxf = self._input_grad(gf, xf.shape[1], wp, n)
+        h, w = x_shape[2:]
+        gx = gxf[:, :n].reshape(self.in_ch, b, hp, wp)[:, :, p:p + h, p:p + w]
+        return np.ascontiguousarray(gx.transpose(1, 0, 2, 3)), grad_w, grad_b
+
+    def _input_grad(self, gf, length, wp, n):
+        """grad_x on the flat padded grid: W[:, :, i, j]^T @ g added at i*wp + j.
+
+        Runs one block of the grid at a time: one product gives every tap's
+        rows for the columns that reach the block, and the block's elements
+        receive their taps in row-major order, the sums of tap by tap over
+        the whole grid. Products start on multiples of 16 columns and span a
+        multiple of 16 but at the grid's end: float64 BLAS rounds the last
+        N mod 8 columns of a product its own way, so these stay the same.
+        """
+        c = self.in_ch
+        weights, offsets = self._taps(wp)
+        reach = offsets[-1]
+        # (k*k*C, O) as the transpose of a row-major (O, k*k*C) matrix
+        wm = weights.transpose(1, 0, 2).reshape(self.out_ch, -1).T
+        step = max(16, _BLOCK_BYTES // (wm.shape[0] * gf.itemsize) // 16 * 16)
+        buf = np.empty((wm.shape[0], step + reach + 16), dtype=gf.dtype)
+        gxf = np.zeros((c, length), dtype=gf.dtype)
+        for p0 in range(0, length, step):
+            p1 = min(length, p0 + step)
+            lo, hi = max(p0 - reach, 0) // 16 * 16, min(p1, n)
+            cols = np.matmul(wm, gf[:, lo:hi], out=buf[:, :hi - lo])
+            for t, off in enumerate(offsets):
+                q0, q1 = max(p0 - off, lo), min(p1 - off, hi)
+                if q0 < q1:
+                    rows = cols[t * c:(t + 1) * c]
+                    gxf[:, q0 + off:q1 + off] += rows[:, q0 - lo:q1 - lo]
+        return gxf
+
+    def _weight_grad(self, xf, gf, wp, n):
+        """grad_w, one (O, C*k*k) product per block of padded-grid columns.
+
+        Each block gathers its taps into a buffer of _BLOCK_BYTES, so the
+        k*k-fold copy of the input never exists whole.
+        """
+        c, k = self.in_ch, self.kernel
+        step = max(1, _BLOCK_BYTES // (c * k * k * xf.itemsize))
+        buf = np.empty((c * k * k, min(step, n)), dtype=xf.dtype)
+        grad_w = np.zeros((self.out_ch, c * k * k), dtype=gf.dtype)
+        s0, s1 = xf.strides
+        for q in range(0, n, step):
+            m = min(step, n - q)
+            block = buf[:, :m]
+            block.reshape(c, k, k, m)[...] = as_strided(
+                xf[:, q:], (c, k, k, m), (s0, wp * s1, s1, s1), writeable=False)
+            grad_w += gf[:, q:q + m] @ block.T
+        return grad_w.reshape(self.weight.shape)
 
     def params(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -251,7 +385,8 @@ class TransposedConv2d:
 
     def backward(self, x, grad_out):
         grad_b = grad_out.sum(axis=(0, 2, 3))
-        gcols, _, _ = _im2col(grad_out, self.kernel, self.stride, self.padding)
+        k, s, p = self.kernel, self.stride, self.padding
+        gcols, _, _ = _im2col(_pad_flat(grad_out, k, p), grad_out.shape, k, s, p)
         wm = self.weight.reshape(self.in_ch, -1)
         grad_x = _per_patch(wm, gcols, x.shape[0]).reshape(x.shape)
         grad_w = (_channel_major(x) @ gcols.T).reshape(self.weight.shape)

@@ -165,11 +165,7 @@ class HetNet:
     def _walk(self, x, tape=None):
         """Run the steps on x; with a tape, append one cache per step.
 
-        Without a tape no cache is kept. A layer's input is released once
-        its GeLU has run, the last pool indices and both stage-3 maps at
-        the end: releasing any of them earlier moves numpy's buffers in the
-        C heap, and tile_predict's peak RSS then jumped by about 27 MB in
-        a third of runs instead of about one in ten.
+        Without a tape no cache is kept.
         """
         for step in self._steps:
             if step is _POOL:

@@ -10,6 +10,8 @@ from seishet.layers import (
     Conv2d,
     Dense,
     TransposedConv2d,
+    _channel_major,
+    _col2im,
     cross_entropy_2class,
     glorot_init,
     maxpool2d,
@@ -113,6 +115,87 @@ def test_conv_batch_decomposition():
     whole = layer.forward(x)
     for n in range(4):
         np.testing.assert_array_equal(whole[n], layer.forward(x[n:n + 1])[0])
+
+
+# every 3x3 conv shape of the network: trunk, and the attention branch's conv
+NETWORK_CONVS = [(1, 20, 44), (20, 20, 44), (20, 50, 22), (50, 50, 22),
+                 (50, 50, 11), (100, 68, 11)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("in_ch,out_ch,size", NETWORK_CONVS)
+def test_conv_batch_decomposition_at_network_shapes(in_ch, out_ch, size, dtype):
+    """Each patch gives the same bits alone as inside its batch."""
+    p = Prng(30 + in_ch + out_ch)
+    layer = Conv2d(in_ch, out_ch, prng=p, dtype=dtype)
+    layer.bias = p.normal(size=out_ch).astype(dtype)
+    x = p.normal(size=(5, in_ch, size, size)).astype(dtype)
+    whole = layer.forward(x)
+    for n in range(x.shape[0]):
+        alone = layer.forward(x[n:n + 1])[0]
+        assert whole[n].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("in_ch,out_ch,size", NETWORK_CONVS[1:])
+def test_conv_input_grad_equals_column_form_bit_for_bit(in_ch, out_ch, size, dtype):
+    """grad_x has the bits of W^T g over all taps at once, folded by _col2im."""
+    p = Prng(40 + in_ch + out_ch)
+    layer = Conv2d(in_ch, out_ch, prng=p, dtype=dtype)
+    x = p.normal(size=(8, in_ch, size, size)).astype(dtype)
+    g = p.normal(size=(8, out_ch, size, size)).astype(dtype)
+    gx, _, _ = layer.backward(layer.forward_cache(x)[1], g)
+    gcols = layer.weight.reshape(out_ch, -1).T @ _channel_major(g)
+    assert gx.tobytes() == _col2im(gcols, x.shape, 3, 1, 1).tobytes()
+
+
+def _conv_backward_loop_oracle(x, weight, g, stride, padding):
+    """grad_x and grad_w of sum(conv(x) * g) by explicit loops."""
+    b, c, h, w = x.shape
+    o, _, k, _ = weight.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(weight)
+    for n in range(b):
+        for oc in range(o):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    for u in range(k):
+                        for v in range(k):
+                            y, z = i * stride + u, j * stride + v
+                            gw[oc, :, u, v] += g[n, oc, i, j] * xp[n, :, y, z]
+                            gxp[n, :, y, z] += g[n, oc, i, j] * weight[oc, :, u, v]
+    return gxp[:, :, padding:padding + h, padding:padding + w], gw
+
+
+@pytest.mark.parametrize("stride,padding,size", [(2, 0, 7), (1, 1, 6), (2, 1, 5)])
+def test_conv_forward_and_backward_match_loop_oracle(stride, padding, size):
+    p = Prng(23 + stride + padding)
+    # integer-valued floats make BLAS and loop sums bit-identical
+    x = p.randint(-4, 4, size=(2, 3, size, size)).astype(np.float64)
+    layer = Conv2d(3, 4, kernel=3, stride=stride, padding=padding, dtype=np.float64)
+    layer.weight = p.randint(-3, 3, size=layer.weight.shape).astype(np.float64)
+    layer.bias = p.randint(-3, 3, size=4).astype(np.float64)
+    y, cache = layer.forward_cache(x)
+    np.testing.assert_array_equal(y, _conv_loop_oracle(x, layer.weight, layer.bias,
+                                                       stride, padding))
+    g = p.randint(-3, 3, size=y.shape).astype(np.float64)
+    gx, gw, gb = layer.backward(cache, g)
+    gx_ref, gw_ref = _conv_backward_loop_oracle(x, layer.weight, g, stride, padding)
+    np.testing.assert_array_equal(gx, gx_ref)
+    np.testing.assert_array_equal(gw, gw_ref)
+    np.testing.assert_array_equal(gb, g.sum(axis=(0, 2, 3)))
+
+
+@pytest.mark.parametrize("in_ch,out_ch,size", NETWORK_CONVS)
+def test_conv_tape_cache_is_about_the_padded_input(in_ch, out_ch, size):
+    """The training cache stays near the padded input, far below 9x of it."""
+    layer = Conv2d(in_ch, out_ch, prng=Prng(1))
+    x = np.ones((4, in_ch, size, size), dtype=np.float32)
+    _, cache = layer.forward_cache(x)
+    cached = sum(a.nbytes for a in cache if isinstance(a, np.ndarray))
+    padded = x[:, :, 0, 0].nbytes * (size + 2) ** 2
+    assert cached <= 1.2 * padded
 
 
 def test_conv_backward_zero_grad():
