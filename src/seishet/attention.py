@@ -14,8 +14,7 @@ Two interchangeable mechanisms operate on the 100-channel bottleneck map:
 Each block follows the layer protocol of ``layers``: ``forward``,
 ``forward_cache`` and ``backward(cache, g) -> (grad_x, *param_grads)`` in
 ``params()`` order. A block's backward passes the caches of its inner
-Dense and Conv2d layers back to them, and its gradients are checked
-against the finite-difference oracle.
+Dense and Conv2d layers back to them.
 """
 
 import math
@@ -142,12 +141,6 @@ def relative_logits(q, k, rel_w, rel_h):
     return logits
 
 
-def self_attention_head(q, k, v, rel_w, rel_h):
-    """Softmax over keys of the relative logits, then value mixing."""
-    weights = softmax_lastdim(relative_logits(q, k, rel_w, rel_h))
-    return weights @ np.asarray(v)
-
-
 def _sum_axis4(a):
     """a.sum(axis=4) of a rank-6 array as sequential slice adds.
 
@@ -260,12 +253,10 @@ class RelativeSelfAttention2d:
         gq += gqh @ self.rel_h
         grel_h = gqh.reshape(-1, 2 * h - 1).T @ q.reshape(-1, self.dk_head)
 
-        def merge(m, dim_head, total):
-            return m.transpose(0, 2, 1, 3).reshape(b, n, total)
+        def merge(m):
+            return m.transpose(0, 2, 1, 3).reshape(b, n, -1)
 
-        gqm = merge(gq, self.dk_head, self.d_k)
-        gkm = merge(gk, self.dk_head, self.d_k)
-        gvm = merge(gv, self.dv_head, self.d_v)
+        gqm, gkm, gvm = merge(gq), merge(gk), merge(gv)
         gxt = gqm @ self.wq.T + gkm @ self.wk.T + gvm @ self.wv.T
         xf = xt.reshape(-1, self.in_ch)
         grad_x = gxt.transpose(0, 2, 1).reshape(b, self.in_ch, h, w)

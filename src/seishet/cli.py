@@ -9,10 +9,11 @@ environment variable is used, then 0.
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
-from .errors import ConfigError, SeishetError
+from .errors import ConfigError, FormatError, SeishetError
 from .metrics import evaluate, format_table, to_json
 from .model import (
     FLOP_CONVENTION,
@@ -99,22 +100,6 @@ def _resolve_seed(value):
     return 0
 
 
-def _emit_epochs(log_lines):
-    def on_epoch(stats):
-        line = stats.format_line()
-        print(line)
-        log_lines.append(line)
-    return on_epoch
-
-
-def _write_log(path, lines):
-    if path:
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines))
-            if lines:
-                fh.write("\n")
-
-
 def cmd_gen(args):
     seed = _resolve_seed(args.seed)
     config = SyntheticConfig(
@@ -151,30 +136,46 @@ def _load_samples(path, limit):
     return samples
 
 
+def _fit(fit, model, samples, args, master, heldout=None, **fields):
+    """Run `fit` (train or finetune) under the flags both commands share.
+
+    The epoch shuffle seed is master.derive(2); `fields` are the other
+    TrainConfig values. Each epoch line is printed and, with --log, written
+    to that file; the checkpoint is saved to --out.
+    """
+    config = TrainConfig(
+        epochs=args.epochs,
+        batch_size=args.batch,
+        learning_rate=args.lr,
+        shuffle_seed=master.derive(2).seed,
+        pos_weight=args.pos_weight,
+        **fields,
+    )
+    lines = []
+
+    def on_epoch(stats):
+        lines.append(stats.format_line())
+        print(lines[-1])
+
+    model, _ = fit(model, samples, config, heldout=heldout, on_epoch=on_epoch)
+    if args.log:
+        with open(args.log, "w") as fh:
+            fh.writelines(line + "\n" for line in lines)
+    save_checkpoint(model, args.out)
+    return model
+
+
 def cmd_train(args):
     samples = _load_samples(args.data, args.count_limit)
-    seed = _resolve_seed(args.seed)
-    master = Prng(seed)
+    master = Prng(_resolve_seed(args.seed))
     train_set, test_set = split_dataset(samples, args.split, master.derive(1).seed)
     variant = ATTENTION_CHOICES[args.attention]
     net_config = NetConfig(
         se_ratio=args.se_ratio, heads=args.heads, d_k=args.dk, d_v=args.dv
     )
     model = build_network(variant, master.derive(0), net_config)
-    config = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        split_fraction=args.split,
-        shuffle_seed=master.derive(2).seed,
-        freeze_prefix=0,
-        pos_weight=args.pos_weight,
-    )
-    lines = []
-    model, _ = train(model, train_set, config, heldout=test_set,
-                     on_epoch=_emit_epochs(lines))
-    _write_log(args.log, lines)
-    save_checkpoint(model, args.out)
+    model = _fit(train, model, train_set, args, master, heldout=test_set,
+                 split_fraction=args.split)
     hx, hy = stack_samples(test_set)
     report = evaluate_batched(model, hx, hy)
     print("held-out metrics:")
@@ -193,19 +194,8 @@ def cmd_finetune(args):
                 % (model.variant, args.attention)
             )
     samples = _load_samples(args.data, args.count_limit)
-    seed = _resolve_seed(args.seed)
-    config = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        shuffle_seed=Prng(seed).derive(2).seed,
-        freeze_prefix=args.freeze_prefix,
-        pos_weight=args.pos_weight,
-    )
-    lines = []
-    model, _ = finetune(model, samples, config, on_epoch=_emit_epochs(lines))
-    _write_log(args.log, lines)
-    save_checkpoint(model, args.out)
+    model = _fit(finetune, model, samples, args, Prng(_resolve_seed(args.seed)),
+                 freeze_prefix=args.freeze_prefix)
     frozen = [name for name, flag in model.freeze.items() if flag]
     if frozen:
         print("frozen parameters (%d): %s" % (len(frozen), ", ".join(frozen)))
@@ -237,11 +227,23 @@ def cmd_predict(args):
 
 
 def _load_map(path):
+    """A [0, 1] confidence map from a PGM (scaled by its maxval) or a CSV."""
     if path.endswith(".pgm"):
         pixels, maxval = read_pgm_with_maxval(path)
         return pixels.astype(np.float64) / maxval
-    data = np.loadtxt(path, delimiter=",", dtype=np.float64)
-    return np.atleast_2d(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data: rejected below
+        try:
+            data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise FormatError("%s: not a CSV confidence map: %s" % (path, exc))
+    if data.size == 0:
+        raise FormatError("%s: no values" % path)
+    if not np.isfinite(data).all():
+        raise FormatError("%s: non-finite confidence values" % path)
+    if data.min() < 0.0 or data.max() > 1.0:
+        raise FormatError("%s: confidence values must lie in [0, 1]" % path)
+    return data
 
 
 def cmd_eval(args):

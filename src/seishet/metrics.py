@@ -41,19 +41,6 @@ class MetricsReport:
     counts: ConfusionCounts
 
 
-def binarize(prob, threshold=0.5):
-    """Threshold the heterogeneity channel of (..., 2, H, W) probabilities.
-
-    A pixel is positive iff P(class 1) >= threshold.
-    """
-    prob = np.asarray(prob)
-    if prob.ndim < 3 or prob.shape[-3] != 2:
-        raise DimensionError(
-            "binarize expects (..., 2, H, W) probabilities, got %s" % (prob.shape,)
-        )
-    return (prob[..., 1, :, :] >= threshold).astype(np.uint8)
-
-
 def _as_binary(mask, what):
     mask = np.asarray(mask)
     if mask.dtype != bool and not (np.equal(mask, 0) | np.equal(mask, 1)).all():

@@ -169,13 +169,11 @@ class HetNet:
         """
         for step in self._steps:
             if step is _POOL:
-                x, idx = maxpool2d(x)
-                cache = idx
+                x, cache = maxpool2d(x)
             elif step is _SKIP:
                 skip, cache = x, None
             elif step is _CONCAT:
-                maps = [skip, x]
-                x, cache = np.concatenate(maps, axis=1), skip.shape[1]
+                x, cache = np.concatenate([skip, x], axis=1), skip.shape[1]
             elif tape is None:
                 _, layer, act = step
                 x = gelu(layer.forward(x)) if act else layer.forward(x)
@@ -195,10 +193,6 @@ class HetNet:
     def forward(self, x):
         """Logits (B,2,44,44) for a batch of normalized patches."""
         return self._walk(self._checked(x))
-
-    def predict_proba(self, x):
-        """Per-pixel class probabilities (B,2,44,44), softmax over channels."""
-        return channel_softmax(self.forward(x))
 
     def loss_and_grads(self, x, target, pos_weight=None):
         """One training step's forward+backward.

@@ -1,5 +1,4 @@
-"""Numeric primitives: deterministic randomness, activations, and a
-finite-difference gradient oracle.
+"""Numeric primitives: deterministic randomness, activations and softmax.
 
 Tensors are plain numpy arrays in row-major order. Training code runs in
 float32; gradient checks run in float64. Functions here preserve the dtype
@@ -18,7 +17,7 @@ import math
 import numpy as np
 from scipy.special import erf, expit
 
-from .errors import DimensionError, EvaluationError
+from .errors import DimensionError
 
 _MASK64 = (1 << 64) - 1
 
@@ -187,44 +186,3 @@ def softmax_lastdim(x, out=None):
     e = np.exp(np.subtract(x, x.max(axis=-1, keepdims=True), out=out), out=out)
     e /= e.sum(axis=-1, keepdims=True)
     return e
-
-
-def finite_difference_grad(f, x, h=1e-5):
-    """Central-difference gradient of a scalar-valued f, element by element.
-
-    Works on a float64 copy of x so callers' arrays are never touched.
-    Raises EvaluationError if any probe of f is non-finite.
-    """
-    x = np.array(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat_x = x.reshape(-1)
-    flat_g = grad.reshape(-1)
-    for i in range(flat_x.size):
-        orig = flat_x[i]
-        flat_x[i] = orig + h
-        f_plus = float(f(x))
-        flat_x[i] = orig - h
-        f_minus = float(f(x))
-        flat_x[i] = orig
-        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-            raise EvaluationError(
-                "finite difference probe at flat index %d was non-finite" % i
-            )
-        flat_g[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad
-
-
-def relative_error(a, b):
-    """Max absolute difference scaled by the larger operand's max magnitude.
-
-    The denominator is floored at 1e-8 so comparing near-zero arrays does
-    not blow up.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionError(
-            "relative_error operands differ in shape: %s vs %s" % (a.shape, b.shape)
-        )
-    denom = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-8)
-    return float(np.abs(a - b).max(initial=0.0) / denom)

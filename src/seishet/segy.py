@@ -29,7 +29,7 @@ from .errors import (
 )
 from .model import channel_softmax
 from .pgm import read_pgm, write_pgm
-from .synthgen import Sample
+from .synthgen import Sample, normalize_windows, window_corners
 
 TEXT_HEADER_LEN = 3200
 TRACE_HEADER_LEN = 240
@@ -64,11 +64,6 @@ class SeismicSection:
     line: int
     trace_keys: list
     sample_interval_us: int = 0
-
-    @property
-    def twt_ms(self):
-        n = self.amplitudes.shape[0]
-        return np.arange(n) * (self.sample_interval_us / 1000.0)
 
 
 class SegyVolume:
@@ -211,8 +206,8 @@ def _axis_map(n_in, n_out):
     return np.arange(n_out, dtype=np.float64) * (n_in - 1) / (n_out - 1)
 
 
-def _resize_batch_bilinear(stack, out_h, out_w):
-    """Bilinear resize of a (B, H, W) stack with align-corners mapping."""
+def bilinear_resize(stack, out_h, out_w):
+    """Bilinear resize of a (B, H, W) stack, align-corners; exact on ramps."""
     b, h, w = stack.shape
     sy = _axis_map(h, out_h)
     sx = _axis_map(w, out_w)
@@ -226,14 +221,6 @@ def _resize_batch_bilinear(stack, out_h, out_w):
     return rows[:, :, x0] * (1.0 - fx) + rows[:, :, x1] * fx
 
 
-def bilinear_resize(image, out_h, out_w):
-    """Bilinear resample of a single 2D array; exact on linear ramps."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2:
-        raise DimensionError("bilinear_resize expects a 2D array")
-    return _resize_batch_bilinear(image[None], out_h, out_w)[0]
-
-
 def nearest_resize(mask, out_h, out_w):
     """Nearest-neighbor resample; binary inputs stay binary."""
     mask = np.asarray(mask)
@@ -244,30 +231,15 @@ def nearest_resize(mask, out_h, out_w):
     return mask[np.ix_(yi, xi)]
 
 
-def _window_corners(h, w, src, stride):
-    """Top-left corners of the src x src windows, row by row."""
-    return [(y, x) for y in range(0, h - src + 1, stride)
-            for x in range(0, w - src + 1, stride)]
-
-
 def _prepare_windows(section, corners, src, dst):
     """Model inputs (N, dst, dst) float32 for the windows at `corners`.
 
-    Each window is bilinearly upscaled first, then min-max normalized to
-    [-1, 1] with normalize_patch's arithmetic (a constant window becomes
-    zeros), so training samples and inference windows match bit for bit.
+    Each window is bilinearly upscaled first, then min-max normalized by
+    the synthetic generator's normalize_windows, so training samples and
+    inference windows match bit for bit.
     """
-    up = _resize_batch_bilinear(
-        np.stack([section[y:y + src, x:x + src] for y, x in corners]), dst, dst)
-    lo = up.min(axis=(1, 2), keepdims=True)
-    hi = up.max(axis=(1, 2), keepdims=True)
-    flat = hi <= lo
-    up -= lo
-    up *= 2.0
-    up /= np.where(flat, 1.0, hi - lo)
-    up -= 1.0
-    up[flat[:, 0, 0]] = 0.0
-    return up.astype(np.float32)
+    return normalize_windows(bilinear_resize(
+        np.stack([section[y:y + src, x:x + src] for y, x in corners]), dst, dst))
 
 
 def real_patches(section, mask, src=REAL_PATCH_SRC, dst=REAL_PATCH_DST,
@@ -290,7 +262,7 @@ def real_patches(section, mask, src=REAL_PATCH_SRC, dst=REAL_PATCH_DST,
         raise DimensionError(
             "section %dx%d is smaller than the %d window" % (h, w, src)
         )
-    corners = _window_corners(h, w, src, stride)
+    corners = window_corners(h, w, src, stride)
     images = _prepare_windows(section, corners, src, dst)
     out = []
     for (y, x), image in zip(corners, images):
@@ -316,14 +288,14 @@ def tile_predict(model, section, src=REAL_PATCH_SRC, stride=REAL_PATCH_STRIDE,
         raise DimensionError(
             "section %dx%d is smaller than the %d window" % (h, w, src)
         )
-    corners = _window_corners(h, w, src, stride)
+    corners = window_corners(h, w, src, stride)
     prob_sum = np.zeros((h, w), dtype=np.float64)
     hits = np.zeros((h, w), dtype=np.float64)
     for start in range(0, len(corners), batch_size):
         chunk = corners[start:start + batch_size]
         up = _prepare_windows(section, chunk, src, REAL_PATCH_DST)
         prob = channel_softmax(model.forward(up[:, None]))[:, 1]
-        down = _resize_batch_bilinear(prob.astype(np.float64), src, src)
+        down = bilinear_resize(prob.astype(np.float64), src, src)
         for i, (y, x) in enumerate(chunk):
             prob_sum[y:y + src, x:x + src] += down[i]
             hits[y:y + src, x:x + src] += 1.0
@@ -376,13 +348,8 @@ def read_raw_section(path, height, width):
             "%s: %d bytes, expected %d for %dx%d float32"
             % (path, len(raw), expected, height, width)
         )
-    return np.frombuffer(raw, dtype="<f4").reshape(height, width).copy()
-
-
-def write_raw_section(section, path):
-    """Store a section as raw little-endian float32, row-major."""
-    arr = np.ascontiguousarray(section, dtype="<f4")
-    if arr.ndim != 2:
-        raise DimensionError("raw section must be 2D")
-    with open(path, "wb") as fh:
-        fh.write(arr.tobytes())
+    section = np.frombuffer(raw, dtype="<f4").reshape(height, width).copy()
+    bad = np.flatnonzero(~np.isfinite(section).all(axis=1))
+    if bad.size:
+        raise FormatError("%s: row %d contains non-finite amplitudes" % (path, bad[0] + 1))
+    return section

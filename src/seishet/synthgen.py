@@ -206,13 +206,27 @@ def add_noise(section, config, prng):
     return section + prng.normal(0.0, frac * rms, size=section.shape)
 
 
-def normalize_patch(patch):
-    """Min-max map to [-1, 1]; a constant patch becomes all zeros."""
-    lo = float(patch.min())
-    hi = float(patch.max())
-    if hi <= lo:
-        return np.zeros(patch.shape, dtype=np.float32)
-    return (2.0 * (patch - lo) / (hi - lo) - 1.0).astype(np.float32)
+def window_corners(h, w, size, stride):
+    """Top-left corners of the size x size windows, row by row."""
+    return [(y, x) for y in range(0, h - size + 1, stride)
+            for x in range(0, w - size + 1, stride)]
+
+
+def normalize_windows(stack):
+    """Min-max map each window of an (N, H, W) stack to [-1, 1], float32.
+
+    A constant window becomes all zeros. The stack is overwritten. Every
+    patch the model sees, synthetic or real, goes through this arithmetic.
+    """
+    lo = stack.min(axis=(1, 2), keepdims=True)
+    hi = stack.max(axis=(1, 2), keepdims=True)
+    flat = hi <= lo
+    stack -= lo
+    stack *= 2.0
+    stack /= np.where(flat, 1.0, hi - lo)
+    stack -= 1.0
+    stack[flat[:, 0, 0]] = 0.0
+    return stack.astype(np.float32)
 
 
 def extract_patches(section, mask, patch=PATCH, stride=STRIDE):
@@ -226,13 +240,11 @@ def extract_patches(section, mask, patch=PATCH, stride=STRIDE):
         raise DimensionError(
             "section %dx%d is smaller than patch %d" % (h, w, patch)
         )
-    out = []
-    for y in range(0, h - patch + 1, stride):
-        for x in range(0, w - patch + 1, stride):
-            img = normalize_patch(section[y:y + patch, x:x + patch])
-            msk = (mask[y:y + patch, x:x + patch] > 0).astype(np.uint8)
-            out.append(Sample(img, msk))
-    return out
+    corners = window_corners(h, w, patch, stride)
+    images = normalize_windows(
+        np.stack([section[y:y + patch, x:x + patch] for y, x in corners]))
+    return [Sample(image, (mask[y:y + patch, x:x + patch] > 0).astype(np.uint8))
+            for (y, x), image in zip(corners, images)]
 
 
 def generate_section(config, prng):

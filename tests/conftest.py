@@ -1,8 +1,13 @@
-"""Shared fixture builders for the test suite."""
+"""Shared fixture builders and reference oracles for the test suite."""
 
+import math
 import struct
 
 import numpy as np
+
+from seishet.attention import relative_logits
+from seishet.errors import DimensionError, EvaluationError
+from seishet.numcore import softmax_lastdim
 
 
 def ieee_to_ibm_word(value):
@@ -63,3 +68,71 @@ def write_segy(path, traces, fmt=5, ns=None, interval_us=4000,
     with open(path, "wb") as fh:
         fh.write(bytes(buf))
     return path
+
+
+def write_raw_section(section, path):
+    """Store a section as raw little-endian float32, row-major."""
+    arr = np.ascontiguousarray(section, dtype="<f4")
+    if arr.ndim != 2:
+        raise DimensionError("raw section must be 2D")
+    with open(path, "wb") as fh:
+        fh.write(arr.tobytes())
+
+
+def normalize_patch(patch):
+    """Min-max map to [-1, 1]; a constant patch becomes all zeros.
+
+    The one-patch reference for synthgen.normalize_windows.
+    """
+    lo = float(patch.min())
+    hi = float(patch.max())
+    if hi <= lo:
+        return np.zeros(patch.shape, dtype=np.float32)
+    return (2.0 * (patch - lo) / (hi - lo) - 1.0).astype(np.float32)
+
+
+def self_attention_head(q, k, v, rel_w, rel_h):
+    """Softmax over keys of the relative logits, then value mixing."""
+    weights = softmax_lastdim(relative_logits(q, k, rel_w, rel_h))
+    return weights @ np.asarray(v)
+
+
+def finite_difference_grad(f, x, h=1e-5):
+    """Central-difference gradient of a scalar-valued f, element by element.
+
+    Works on a float64 copy of x so callers' arrays are never touched.
+    Raises EvaluationError if any probe of f is non-finite.
+    """
+    x = np.array(x, dtype=np.float64)
+    grad = np.zeros_like(x)
+    flat_x = x.reshape(-1)
+    flat_g = grad.reshape(-1)
+    for i in range(flat_x.size):
+        orig = flat_x[i]
+        flat_x[i] = orig + h
+        f_plus = float(f(x))
+        flat_x[i] = orig - h
+        f_minus = float(f(x))
+        flat_x[i] = orig
+        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
+            raise EvaluationError(
+                "finite difference probe at flat index %d was non-finite" % i
+            )
+        flat_g[i] = (f_plus - f_minus) / (2.0 * h)
+    return grad
+
+
+def relative_error(a, b):
+    """Max absolute difference scaled by the larger operand's max magnitude.
+
+    The denominator is floored at 1e-8 so comparing near-zero arrays does
+    not blow up.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimensionError(
+            "relative_error operands differ in shape: %s vs %s" % (a.shape, b.shape)
+        )
+    denom = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-8)
+    return float(np.abs(a - b).max(initial=0.0) / denom)

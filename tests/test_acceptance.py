@@ -14,14 +14,19 @@ import time
 
 import numpy as np
 
-from conftest import write_segy
+from conftest import (
+    finite_difference_grad,
+    relative_error,
+    self_attention_head,
+    write_raw_section,
+    write_segy,
+)
 from seishet.attention import (
     AugmentedAttentionConv,
     RelativeSelfAttention2d,
     SeAttention,
     relative_logits,
     se_squeeze,
-    self_attention_head,
 )
 from seishet.errors import FormatError
 from seishet.layers import (
@@ -39,9 +44,9 @@ from seishet.metrics import (
     report_from_counts,
 )
 from seishet.model import NetConfig, build_network, save_checkpoint
-from seishet.numcore import Prng, finite_difference_grad, relative_error
+from seishet.numcore import Prng
 from seishet.pgm import read_pgm, write_pgm
-from seishet.segy import ibm_to_ieee, open_volume, write_raw_section
+from seishet.segy import ibm_to_ieee, open_volume
 from seishet.synthgen import SyntheticConfig, generate_dataset, generate_section
 from seishet.train import TrainConfig, split_dataset, train
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import finite_difference_grad, relative_error, self_attention_head
 from seishet import attention
 from seishet.attention import (
     AugmentedAttentionConv,
@@ -12,17 +13,9 @@ from seishet.attention import (
     SeAttention,
     relative_logits,
     se_squeeze,
-    self_attention_head,
 )
 from seishet.errors import ConfigError, DimensionError
-from seishet.numcore import (
-    Prng,
-    finite_difference_grad,
-    gelu,
-    relative_error,
-    sigmoid,
-    softmax_lastdim,
-)
+from seishet.numcore import Prng, gelu, sigmoid, softmax_lastdim
 
 
 def _randomize(pairs, prng):

@@ -8,12 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import write_segy
+from conftest import write_raw_section, write_segy
 from seishet.metrics import evaluate
 from seishet.model import count_params_flops, load_checkpoint
 from seishet.numcore import Prng
 from seishet.pgm import read_pgm, write_pgm
-from seishet.segy import write_raw_section
 
 
 def run_cli(*args, env_extra=None):
@@ -252,6 +251,18 @@ def test_predict_raw_needs_dimensions(workspace, raw_section, tmp_path):
     assert "--height" in r.stderr
 
 
+def test_predict_raw_rejects_non_finite_amplitudes(workspace, tmp_path):
+    path = tmp_path / "nan.f32"
+    write_raw_section(np.full((30, 30), np.nan), path)
+    out = tmp_path / "m.pgm"
+    r = run_cli("predict", "--ckpt", workspace["ckpt"], "--raw", path,
+                "--height", "30", "--width", "30", "--out", out)
+    assert r.returncode == 1
+    assert r.stderr.startswith("seishet: error:") and "non-finite" in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_predict_source_flags_are_exclusive(workspace, raw_section, tmp_path):
     r = run_cli("predict", "--ckpt", workspace["ckpt"], "--raw", raw_section,
                 "--segy", "x.sgy", "--out", tmp_path / "m.pgm")
@@ -335,6 +346,31 @@ def test_eval_shape_mismatch_exits_1(tmp_path):
     r = run_cli("eval", "--pred", tmp_path / "p.pgm", "--truth", tmp_path / "t.pgm")
     assert r.returncode == 1
     assert r.stderr.startswith("seishet: error:")
+
+
+@pytest.mark.parametrize("text", ["0.5,abc\n0.1,0.2\n", "nan,nan\nnan,nan\n",
+                                  "0.5,inf\n0.1,0.2\n", "0.5,1.5\n0.1,0.2\n",
+                                  "0.5,-0.25\n0.1,0.2\n", "", "0.5,0.5\n0.1\n"])
+def test_eval_rejects_bad_csv_map_with_one_error_line(tmp_path, text):
+    (tmp_path / "p.csv").write_text(text)
+    write_pgm(tmp_path / "t.pgm", np.zeros((2, 2), dtype=np.uint8))
+    r = run_cli("eval", "--pred", tmp_path / "p.csv", "--truth", tmp_path / "t.pgm")
+    assert r.returncode == 1
+    assert r.stderr.startswith("seishet: error:")
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("text,truth", [
+    ("0.000000,0.750000\n1.000000,0.250000\n", [[0, 255], [255, 0]]),
+    ("0.000000\n1.000000\n0.250000\n", [[0], [255], [0]]),  # one column
+])
+def test_eval_reads_csv_map(tmp_path, text, truth):
+    (tmp_path / "p.csv").write_text(text)
+    write_pgm(tmp_path / "t.pgm", np.array(truth, dtype=np.uint8))
+    r = run_cli("eval", "--pred", tmp_path / "p.csv", "--truth", tmp_path / "t.pgm")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout.splitlines()[-1])["iou"] == 1.0
 
 
 # ---------------------------------------------------------------- info

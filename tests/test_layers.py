@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import finite_difference_grad, relative_error
 from seishet.errors import DimensionError, LabelError
 from seishet.layers import (
     Conv2d,
@@ -17,7 +18,7 @@ from seishet.layers import (
     maxpool2d,
     maxpool2d_backward,
 )
-from seishet.numcore import Prng, finite_difference_grad, relative_error
+from seishet.numcore import Prng
 
 # ln 2, the loss of perfectly uninformative two-class logits.
 LN2 = 0.6931471805599453

@@ -1,0 +1,64 @@
+"""src/seishet holds pipeline code only.
+
+Every public module-level function and class must have a caller: a
+reference in src/seishet outside its own definition, a mention in the
+benchmark under perfbench/, or the console entry point in pyproject.toml.
+Test oracles and helpers live in tests/conftest.py instead.
+"""
+
+import ast
+import os
+import re
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SRC = os.path.join(_ROOT, "src", "seishet")
+
+# Public names allowed without a caller, each with its reason.
+_EXEMPT = {
+    "load_section_mask": "the real-data patch command planned in ROADMAP item 3 "
+                         "reads annotation masks through it",
+}
+
+
+def _sources(directory):
+    for name in sorted(os.listdir(directory)):
+        if name.endswith(".py"):
+            with open(os.path.join(directory, name)) as fh:
+                yield name, fh.read()
+
+
+def _names_used(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _uncalled_public_names():
+    defined = []   # (module, name, defining node)
+    uses = []      # (top-level node, names it references)
+    for module, text in _sources(_SRC):
+        for node in ast.parse(text).body:
+            uses.append((node, _names_used(node)))
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined.append((module, node.name, node))
+    outside = "\n".join(text for _, text in _sources(os.path.join(_ROOT, "perfbench")))
+    with open(os.path.join(_ROOT, "pyproject.toml")) as fh:
+        outside += fh.read()
+    missing = []
+    for module, name, node in defined:
+        if any(name in names for other, names in uses if other is not node):
+            continue
+        if re.search(r"\b%s\b" % re.escape(name), outside):
+            continue
+        missing.append("%s:%s" % (module, name))
+    return missing
+
+
+def test_every_public_name_in_src_has_a_pipeline_caller():
+    missing = [m for m in _uncalled_public_names() if m.split(":")[1] not in _EXEMPT]
+    assert missing == [], "no caller outside tests: %s" % ", ".join(missing)
+
+
+def test_exemptions_are_still_needed():
+    uncalled = {m.split(":")[1] for m in _uncalled_public_names()}
+    assert set(_EXEMPT) <= uncalled, sorted(set(_EXEMPT) - uncalled)

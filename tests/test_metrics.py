@@ -8,7 +8,6 @@ import pytest
 from seishet.errors import DimensionError, LabelError
 from seishet.metrics import (
     ConfusionCounts,
-    binarize,
     confusion_counts,
     evaluate,
     format_table,
@@ -20,27 +19,6 @@ from seishet.numcore import Prng
 
 def _mask(shape, frac, seed):
     return (Prng(seed).uniform(0.0, 1.0, size=shape) < frac).astype(np.uint8)
-
-
-def test_binarize_tie_rule_and_extremes():
-    half = np.full((2, 3, 3), 0.5)
-    prob = np.stack([1.0 - half, half], axis=-3)
-    np.testing.assert_array_equal(binarize(prob), np.ones((2, 3, 3), np.uint8))
-    zero = np.zeros((2, 3, 3))
-    prob = np.stack([1.0 - zero, zero], axis=-3)
-    np.testing.assert_array_equal(binarize(prob), np.zeros((2, 3, 3), np.uint8))
-
-
-def test_binarize_matches_loop_oracle():
-    p = Prng(1).uniform(0.0, 1.0, size=(2, 4, 4))
-    prob = np.stack([1.0 - p, p], axis=-3)
-    got = binarize(prob, threshold=0.5)
-    for b in range(2):
-        for i in range(4):
-            for j in range(4):
-                assert got[b, i, j] == (1 if p[b, i, j] >= 0.5 else 0)
-    with pytest.raises(DimensionError):
-        binarize(np.zeros((3, 4, 4)))
 
 
 def test_confusion_counts_exhaustive_on_small_case():

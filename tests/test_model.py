@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import relative_error
 from seishet.errors import ConfigError, DimensionError, FormatError, IntegrityError
 from seishet.layers import Dense, cross_entropy_2class
 from seishet.model import (
@@ -19,7 +20,7 @@ from seishet.model import (
     parameter_table,
     save_checkpoint,
 )
-from seishet.numcore import Prng, relative_error
+from seishet.numcore import Prng
 
 
 def _conv_params(in_ch, out_ch, k):
@@ -131,7 +132,7 @@ def test_batch_of_identical_patches_gives_identical_rows():
 def test_channel_softmax_normalizes():
     model = build_network("se", Prng(9))
     x = Prng(10).normal(size=(2, 1, 44, 44)).astype(np.float32)
-    proba = model.predict_proba(x)
+    proba = channel_softmax(model.forward(x))
     np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-6)
     assert proba.min() >= 0.0
 

@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from conftest import finite_difference_grad, relative_error
 from seishet import numcore
 from seishet.errors import DimensionError, EvaluationError
 from seishet.numcore import (
     Prng,
-    finite_difference_grad,
     gelu,
     gelu_cache,
     gelu_grad,
     gelu_grad_cached,
-    relative_error,
     sigmoid,
     softmax_lastdim,
     splitmix64,

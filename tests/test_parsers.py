@@ -1,4 +1,5 @@
-"""PGM, checkpoint and dataset-directory parsers under damaged bytes.
+"""PGM, checkpoint, dataset-directory, raw-section and CSV-map parsers
+under damaged bytes.
 
 Each property test flips, truncates and extends the bytes of a valid file
 and allows only two outcomes: a clean load of well-formed values, or a
@@ -12,10 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import write_raw_section
+from seishet.cli import _load_map
 from seishet.errors import FormatError, SeishetError
 from seishet.model import build_network, load_checkpoint, save_checkpoint
 from seishet.numcore import Prng
 from seishet.pgm import read_pgm, write_pgm
+from seishet.segy import export_map, read_raw_section
 from seishet.synthgen import (
     SyntheticConfig,
     generate_dataset,
@@ -171,3 +175,57 @@ def test_dataset_reader_fuzz_raises_only_seishet_errors(
         assert s.image.dtype == np.float32 and np.isfinite(s.image).all()
         assert s.image.shape == s.mask.shape == (manifest["patch"],) * 2
         assert set(np.unique(s.mask)) <= {0, 1}
+
+
+# ---------------------------------------------------------------- raw section
+
+@pytest.fixture(scope="module")
+def raw_base(tmp_path_factory):
+    path = tmp_path_factory.mktemp("raw") / "base.f32"
+    write_raw_section(Prng(92).normal(size=(5, 7)) * 100.0, path)
+    return path.read_bytes()
+
+
+@_FUZZ
+@given(flips=st.lists(st.tuples(st.integers(), _BYTE), max_size=6), end=_END)
+def test_raw_section_reader_fuzz_raises_only_seishet_errors(tmp_path_factory, raw_base,
+                                                            flips, end):
+    path = tmp_path_factory.getbasetemp() / "fuzz.f32"
+    path.write_bytes(_damage(raw_base, flips, end))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            section = read_raw_section(path, 5, 7)
+        except SeishetError:
+            return
+    assert section.dtype == np.float32 and section.shape == (5, 7)
+    assert np.isfinite(section).all()
+
+
+# ---------------------------------------------------------------- CSV map
+
+@pytest.fixture(scope="module")
+def csv_base(tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "base.csv"
+    export_map(Prng(93).uniform(0.0, 1.0, (4, 6)), str(path), "csv")
+    return path.read_bytes()
+
+
+# Bytes that keep a number parsable, end it early or change its meaning.
+_CSV_BYTE = st.one_of(st.sampled_from(list(b"0123456789.,-+e\n #naif")), _BYTE)
+
+
+@_FUZZ
+@given(flips=st.lists(st.tuples(st.integers(), _CSV_BYTE), max_size=6), end=_END)
+def test_csv_map_loader_fuzz_raises_only_seishet_errors(tmp_path_factory, csv_base,
+                                                        flips, end):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(_damage(csv_base, flips, end))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            data = _load_map(str(path))
+        except SeishetError:
+            return
+    assert data.dtype == np.float64 and data.ndim == 2 and data.size > 0
+    assert np.isfinite(data).all() and data.min() >= 0.0 and data.max() <= 1.0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ieee_to_ibm_word, write_segy
+from conftest import ieee_to_ibm_word, normalize_patch, write_raw_section, write_segy
 from seishet import segy
 from seishet.errors import (
     ConfigError,
@@ -34,9 +34,7 @@ from seishet.segy import (
     read_section,
     real_patches,
     tile_predict,
-    write_raw_section,
 )
-from seishet.synthgen import normalize_patch
 
 
 # ---------------------------------------------------------------- IBM floats
@@ -264,7 +262,7 @@ def test_section_two_way_time_axis(tmp_path):
     vol = open_volume(write_segy(tmp_path / "v.sgy", _quad_traces(),
                                  interval_us=4000))
     sec = read_section(vol, "inline", 10)
-    assert np.array_equal(sec.twt_ms, [0.0, 4.0, 8.0])
+    assert sec.sample_interval_us == 4000 and sec.amplitudes.shape[0] == 3
 
 
 def _set_sample_word(path, trace, sample, word):
@@ -492,14 +490,14 @@ def test_segy_parser_fuzz_raises_only_seishet_errors(tmp_path_factory, fuzz_base
 # ---------------------------------------------------------------- resampling
 
 def test_bilinear_resize_identity():
-    img = Prng(3).uniform(-1.0, 1.0, (6, 5))
+    img = Prng(3).uniform(-1.0, 1.0, (2, 6, 5))
     assert np.allclose(bilinear_resize(img, 6, 5), img, atol=1e-12)
 
 
 def test_bilinear_resize_preserves_linear_ramp():
     y, x = np.mgrid[0:5, 0:7]
     img = 2.0 * y + 3.0 * x
-    out = bilinear_resize(img, 13, 11)
+    out = bilinear_resize(img[None], 13, 11)[0]
     oy = np.arange(13) * (5 - 1) / (13 - 1)
     ox = np.arange(11) * (7 - 1) / (11 - 1)
     expected = 2.0 * oy[:, None] + 3.0 * ox[None, :]
@@ -507,14 +505,9 @@ def test_bilinear_resize_preserves_linear_ramp():
 
 
 def test_bilinear_resize_single_row_broadcasts():
-    out = bilinear_resize(np.array([[1.0, 3.0, 5.0, 7.0]]), 3, 4)
+    out = bilinear_resize(np.array([[[1.0, 3.0, 5.0, 7.0]]]), 3, 4)[0]
     for r in range(3):
         assert np.allclose(out[r], [1.0, 3.0, 5.0, 7.0], atol=1e-12)
-
-
-def test_bilinear_resize_rejects_non_2d():
-    with pytest.raises(DimensionError):
-        bilinear_resize(np.zeros(5), 3, 3)
 
 
 def test_nearest_resize_loop_oracle():
@@ -630,9 +623,9 @@ def test_tile_predict_matches_explicit_accumulation():
     hits = np.zeros((30, 30))
     for y in (0, 10):
         for x in (0, 10):
-            up = normalize_patch(bilinear_resize(section[y:y + 20, x:x + 20], 44, 44))
-            prob = channel_softmax(model.forward(up[None, None]))[0, 1]
-            down = bilinear_resize(prob.astype(np.float64), 20, 20)
+            up = normalize_patch(bilinear_resize(section[None, y:y + 20, x:x + 20], 44, 44))
+            prob = channel_softmax(model.forward(up[:, None]))[:, 1]
+            down = bilinear_resize(prob.astype(np.float64), 20, 20)[0]
             prob_sum[y:y + 20, x:x + 20] += down
             hits[y:y + 20, x:x + 20] += 1.0
     expected = np.where(hits > 0, prob_sum / np.maximum(hits, 1.0), 0.0)
@@ -774,6 +767,16 @@ def test_raw_section_size_mismatch(tmp_path):
     path.write_bytes(b"\x00" * 16)
     with pytest.raises(FormatError, match="expected 100"):
         read_raw_section(path, 5, 5)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_read_raw_section_rejects_non_finite_amplitudes(tmp_path, value):
+    arr = np.ones((3, 4), dtype=np.float32)
+    arr[2, 1] = value
+    path = tmp_path / "sec.f32"
+    write_raw_section(arr, path)
+    with pytest.raises(FormatError, match="row 3 contains non-finite"):
+        read_raw_section(path, 3, 4)
 
 
 def test_write_raw_section_rejects_non_2d(tmp_path):

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import normalize_patch
 from seishet.errors import ConfigError, DataError, DimensionError, FormatError
 from seishet.numcore import Prng
 from seishet.synthgen import (
@@ -22,7 +23,6 @@ from seishet.synthgen import (
     generate_dataset,
     generate_reflectivity,
     generate_section,
-    normalize_patch,
     read_dataset,
     ricker,
     write_dataset,
@@ -242,6 +242,25 @@ def test_normalize_patch_bounds_and_constant_case():
     assert n.min() == -1.0 and n.max() == 1.0
     np.testing.assert_array_equal(
         normalize_patch(np.full((44, 44), 2.5)), np.zeros((44, 44), np.float32))
+
+
+def test_extract_patches_images_equal_normalize_patch_bit_for_bit():
+    cfg = SyntheticConfig(height=88, width=110, sections=3, seed=23)
+    sections = [generate_section(cfg, Prng(23).derive(i))[0] for i in range(3)]
+    partly_flat = Prng(24).normal(size=(88, 110)) * 50.0
+    partly_flat[:44, :66] = -3.5  # two whole constant windows
+    sections += [partly_flat, np.full((66, 66), 7.25)]
+    for section in sections:
+        h, w = section.shape
+        samples = extract_patches(section, np.zeros((h, w), np.uint8))
+        corners = [(y, x) for y in range(0, h - 43, 22) for x in range(0, w - 43, 22)]
+        assert len(samples) == len(corners)
+        for (y, x), s in zip(corners, samples):
+            expect = normalize_patch(section[y:y + 44, x:x + 44])
+            assert s.image.dtype == np.float32
+            assert s.image.tobytes() == expect.tobytes()
+    flat = extract_patches(np.full((66, 66), 7.25), np.zeros((66, 66), np.uint8))
+    assert all(not s.image.any() for s in flat)
 
 
 def test_extract_patch_counts():
