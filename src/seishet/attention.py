@@ -64,19 +64,21 @@ class SeAttention:
     def forward(self, x):
         return self.forward_cache(x)[0]
 
-    def backward(self, cache, grad_y):
+    def backward(self, cache, grad_y, input_grad=True):
         x, z, a1, h1, g, xg, q, spatial_cache = cache
         gq = (grad_y * xg).sum(axis=1, keepdims=True)
         gs = gq * q * (1.0 - q)
         gxg_conv, gw_sp, gb_sp = self.spatial.backward(spatial_cache, gs)
         gxg = grad_y * q + gxg_conv
         gg = (gxg * x).sum(axis=(2, 3))
-        grad_x = gxg * g[:, :, None, None]
         ga2 = gg * g * (1.0 - g)
         gh1, gw2, gb2 = self.fc2.backward(h1, ga2)
         ga1 = gh1 * gelu_grad(a1)
-        gz, gw1, gb1 = self.fc1.backward(z, ga1)
-        grad_x = grad_x + (gz / (x.shape[2] * x.shape[3]))[:, :, None, None]
+        gz, gw1, gb1 = self.fc1.backward(z, ga1, input_grad)
+        grad_x = None
+        if input_grad:
+            grad_x = (gxg * g[:, :, None, None]
+                      + (gz / (x.shape[2] * x.shape[3]))[:, :, None, None])
         return grad_x, gw1, gb1, gw2, gb2, gw_sp, gb_sp
 
     def params(self):
@@ -225,7 +227,7 @@ class RelativeSelfAttention2d:
     def forward(self, x):
         return self.forward_cache(x)[0]
 
-    def backward(self, cache, grad_y):
+    def backward(self, cache, grad_y, input_grad=True):
         xt, q, k, v, attn, ocat = cache
         b, n, _ = xt.shape
         h, w = self.height, self.width
@@ -257,9 +259,11 @@ class RelativeSelfAttention2d:
             return m.transpose(0, 2, 1, 3).reshape(b, n, -1)
 
         gqm, gkm, gvm = merge(gq), merge(gk), merge(gv)
-        gxt = gqm @ self.wq.T + gkm @ self.wk.T + gvm @ self.wv.T
+        grad_x = None
+        if input_grad:
+            gxt = gqm @ self.wq.T + gkm @ self.wk.T + gvm @ self.wv.T
+            grad_x = gxt.transpose(0, 2, 1).reshape(b, self.in_ch, h, w)
         xf = xt.reshape(-1, self.in_ch)
-        grad_x = gxt.transpose(0, 2, 1).reshape(b, self.in_ch, h, w)
         return (grad_x, xf.T @ gqm.reshape(-1, self.d_k),
                 xf.T @ gkm.reshape(-1, self.d_k),
                 xf.T @ gvm.reshape(-1, self.d_v), gwo, grel_w, grel_h)
@@ -304,12 +308,15 @@ class AugmentedAttentionConv:
     def forward(self, x):
         return self.forward_cache(x)[0]
 
-    def backward(self, cache, grad_y):
+    def backward(self, cache, grad_y, input_grad=True):
         conv_cache, attn_cache = cache
         split = self.conv.out_ch
-        gx_conv, *conv_grads = self.conv.backward(conv_cache, grad_y[:, :split])
-        gx_attn, *attn_grads = self.attn.backward(attn_cache, grad_y[:, split:])
-        return (gx_conv + gx_attn, *conv_grads, *attn_grads)
+        gx_conv, *conv_grads = self.conv.backward(
+            conv_cache, grad_y[:, :split], input_grad)
+        gx_attn, *attn_grads = self.attn.backward(
+            attn_cache, grad_y[:, split:], input_grad)
+        grad_x = gx_conv + gx_attn if input_grad else None
+        return (grad_x, *conv_grads, *attn_grads)
 
     def params(self):
         out = [("conv.weight", self.conv.weight), ("conv.bias", self.conv.bias)]

@@ -174,8 +174,7 @@ def cmd_train(args):
         se_ratio=args.se_ratio, heads=args.heads, d_k=args.dk, d_v=args.dv
     )
     model = build_network(variant, master.derive(0), net_config)
-    model = _fit(train, model, train_set, args, master, heldout=test_set,
-                 split_fraction=args.split)
+    model = _fit(train, model, train_set, args, master, heldout=test_set)
     hx, hy = stack_samples(test_set)
     report = evaluate_batched(model, hx, hy)
     print("held-out metrics:")
@@ -374,7 +373,8 @@ def build_parser():
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--batch", type=_positive_int, default=32)
     p.add_argument("--freeze-prefix", type=_nonneg_int, default=2,
-                   help="number of leading conv layers to freeze")
+                   help="number of leading layers to freeze, 0-10, counting"
+                        " the six convs, attention, up1, up2 and head")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--count-limit", type=_positive_int, default=None)
     p.add_argument("--log", default=None)

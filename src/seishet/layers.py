@@ -324,10 +324,10 @@ class Dense:
     def forward_cache(self, x):
         return self.forward(x), x
 
-    def backward(self, x, grad_out):
+    def backward(self, x, grad_out, input_grad=True):
         grad_w = grad_out.T @ x
         grad_b = grad_out.sum(axis=0)
-        grad_x = grad_out @ self.weight
+        grad_x = grad_out @ self.weight if input_grad else None
         return grad_x, grad_w, grad_b
 
     def params(self):
@@ -383,12 +383,13 @@ class TransposedConv2d:
     def forward_cache(self, x):
         return self.forward(x), x
 
-    def backward(self, x, grad_out):
+    def backward(self, x, grad_out, input_grad=True):
         grad_b = grad_out.sum(axis=(0, 2, 3))
         k, s, p = self.kernel, self.stride, self.padding
         gcols, _, _ = _im2col(_pad_flat(grad_out, k, p), grad_out.shape, k, s, p)
         wm = self.weight.reshape(self.in_ch, -1)
-        grad_x = _per_patch(wm, gcols, x.shape[0]).reshape(x.shape)
+        grad_x = (_per_patch(wm, gcols, x.shape[0]).reshape(x.shape)
+                  if input_grad else None)
         grad_w = (_channel_major(x) @ gcols.T).reshape(self.weight.shape)
         return grad_x, grad_w, grad_b
 

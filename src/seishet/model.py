@@ -23,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import AugmentedAttentionConv, SeAttention
-from .errors import ConfigError, DimensionError, FormatError, IntegrityError
+from .errors import (
+    ConfigError,
+    DataError,
+    DimensionError,
+    FormatError,
+    IntegrityError,
+)
 from .layers import (
     Conv2d,
     TransposedConv2d,
@@ -81,6 +87,8 @@ class HetNet:
     a flag for the GeLU that follows it, the max-pool steps and the concat
     skip. `forward` walks it keeping nothing; `loss_and_grads` walks it
     keeping each step's cache on a tape, then walks the tape backwards.
+    Both can start at a later step from the activation that enters it,
+    such as the frozen-prefix features `frozen_steps` marks.
     """
 
     def __init__(self, variant, prng=None, config=None, dtype=np.float32):
@@ -145,9 +153,32 @@ class HetNet:
 
     def set_freeze_prefix(self, count):
         """Freeze all parameters of the first `count` layers, thaw the rest."""
+        count = int(count)
+        if not 0 <= count <= len(self._layers):
+            raise DataError("freeze prefix must lie in [0, %d], got %d"
+                            % (len(self._layers), count))
         for i, (lname, layer) in enumerate(self._layers):
             for pname, _ in layer.params():
-                self.freeze[lname + "." + pname] = i < int(count)
+                self.freeze[lname + "." + pname] = i < count
+
+    def frozen_steps(self):
+        """Number of leading steps that hold no trainable parameter.
+
+        Parameter-free steps count as frozen. A count that would split the
+        stage-3 skip from its concat backs off to the _SKIP step, so a walk
+        from it still sees both maps; with every layer frozen it is the
+        whole step list.
+        """
+        count = 0
+        for step in self._steps:
+            if step not in (_POOL, _SKIP, _CONCAT):
+                name, layer, _ = step
+                if not all(self.freeze[name + "." + pname]
+                           for pname, _ in layer.params()):
+                    break
+            count += 1
+        skip = self._steps.index(_SKIP)
+        return skip if skip < count <= self._steps.index(_CONCAT) else count
 
     def _checked(self, x):
         x = np.asarray(x, dtype=self.dtype)
@@ -162,12 +193,15 @@ class HetNet:
             )
         return x
 
-    def _walk(self, x, tape=None):
-        """Run the steps on x; with a tape, append one cache per step.
+    def _walk(self, x, tape=None, start=0, stop=None):
+        """Run steps start..stop-1 on x; with a tape, append one cache per step.
 
-        Without a tape no cache is kept.
+        x is the activation entering step `start`, checked as network input
+        when that is the first step. Without a tape no cache is kept.
         """
-        for step in self._steps:
+        if start == 0:
+            x = self._checked(x)
+        for step in self._steps[start:stop]:
             if step is _POOL:
                 x, cache = maxpool2d(x)
             elif step is _SKIP:
@@ -190,23 +224,27 @@ class HetNet:
                 tape.append(cache)
         return x
 
-    def forward(self, x):
-        """Logits (B,2,44,44) for a batch of normalized patches."""
-        return self._walk(self._checked(x))
+    def forward(self, x, start=0, stop=None):
+        """Steps start..stop-1 on x, the activation entering step `start`.
 
-    def loss_and_grads(self, x, target, pos_weight=None):
-        """One training step's forward+backward.
+        By default: logits (B,2,44,44) for a batch of normalized patches.
+        """
+        return self._walk(x, start=start, stop=stop)
 
-        Returns (loss, logits, grads) where grads maps every parameter name
-        to its gradient. Frozen flags are not consulted here; the optimizer
-        decides what to apply.
+    def loss_and_grads(self, x, target, pos_weight=None, start=0):
+        """One training step's forward+backward from step `start` on.
+
+        x is the activation entering step `start`: normalized patches by
+        default, or features cached up to `frozen_steps()`. Returns (loss,
+        logits, grads) where grads maps the name of every parameter the
+        walk passed, and only those, to its gradient.
         """
         tape = []
-        logits = self._walk(self._checked(x), tape)
+        logits = self._walk(x, tape, start)
         loss, g = cross_entropy_2class(logits, target, pos_weight)
         grads = {}
-        for i in reversed(range(len(tape))):
-            step, cache = self._steps[i], tape[i]
+        for i in reversed(range(start, len(self._steps))):
+            step, cache = self._steps[i], tape[i - start]
             if step is _POOL:
                 g = maxpool2d_backward(g, cache)
             elif step is _SKIP:
@@ -218,10 +256,7 @@ class HetNet:
                 if act:
                     cache, z, term = cache
                     g = g * gelu_grad_cached(z, term)
-                if i:
-                    g, *pgrads = layer.backward(cache, g)
-                else:  # the network input needs no gradient
-                    g, *pgrads = layer.backward(cache, g, input_grad=False)
+                g, *pgrads = layer.backward(cache, g, input_grad=i > start)
                 grads.update((name + "." + pname, pg)
                              for (pname, _), pg in zip(layer.params(), pgrads))
         return loss, logits, grads

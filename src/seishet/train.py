@@ -1,9 +1,16 @@
-"""Adam optimizer and the base/fine-tune training loops.
+"""Adam optimizer and the base/fine-tune training loop.
 
 Training is fully deterministic given seeds: the epoch shuffle for epoch e
 comes from Prng(shuffle_seed).derive(e), batches walk the permutation in
 order, and each gradient reduction runs in an order fixed by batch shape.
 Frozen parameters are skipped entirely by the optimizer, moments included.
+
+The leading steps a freeze prefix leaves without a trainable parameter
+map every patch to the same features in every epoch, so train() runs
+them once per call and starts each step and each evaluation from those
+features. A patch gets the same bits alone as in any batch, so the
+checkpoint and epoch log equal those of running the whole network per
+step.
 """
 
 from dataclasses import dataclass
@@ -22,7 +29,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 32
     learning_rate: float = 1e-3
-    split_fraction: float = 0.8
     shuffle_seed: int = 0
     freeze_prefix: int = 0
     pos_weight: Optional[float] = None
@@ -32,8 +38,6 @@ class TrainConfig:
             raise DataError("epochs must be at least 1")
         if self.batch_size < 1:
             raise DataError("batch size must be at least 1")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise DataError("split fraction must lie in (0, 1)")
         if not 0.0 < self.learning_rate < np.inf:
             raise DataError("learning rate must be positive and finite")
         if self.pos_weight is not None and not 0.0 < self.pos_weight < np.inf:
@@ -112,15 +116,34 @@ def stack_samples(samples):
     return x, y
 
 
-def evaluate_batched(model, x, y, batch_size=64, threshold=0.5):
-    """Micro-averaged metrics of the model's thresholded predictions."""
+def evaluate_batched(model, x, y, batch_size=64, threshold=0.5, start=0):
+    """Micro-averaged metrics of the model's thresholded predictions.
+
+    x is the activation entering step `start` of the model's walk.
+    """
     counts = ConfusionCounts()
-    for start in range(0, x.shape[0], batch_size):
-        xb = x[start:start + batch_size]
-        prob = channel_softmax(model.forward(xb))
+    for i in range(0, x.shape[0], batch_size):
+        prob = channel_softmax(model.forward(x[i:i + batch_size], start=start))
         pred = (prob[:, 1] >= threshold).astype(np.uint8)
-        counts = counts + confusion_counts(pred, y[start:start + batch_size])
+        counts = counts + confusion_counts(pred, y[i:i + batch_size])
     return report_from_counts(counts)
+
+
+def _frozen_features(model, samples, stop, batch_size):
+    """(features entering step `stop`, masks), computed batch_size at a time.
+
+    Each chunk is written straight into one array, so no list of chunks
+    ever sits in memory beside the result.
+    """
+    x, y = stack_samples(samples)
+    if not stop:
+        return x, y
+    first = model.forward(x[:batch_size], stop=stop)
+    out = np.empty((x.shape[0],) + first.shape[1:], dtype=first.dtype)
+    out[:batch_size] = first
+    for i in range(batch_size, x.shape[0], batch_size):
+        out[i:i + batch_size] = model.forward(x[i:i + batch_size], stop=stop)
+    return out, y
 
 
 def train(model, samples, config, heldout=None, on_epoch=None):
@@ -128,15 +151,17 @@ def train(model, samples, config, heldout=None, on_epoch=None):
 
     Per-epoch metrics come from `heldout` samples when given, otherwise
     from the training set itself. `on_epoch` is called with each EpochStats
-    as it is produced.
+    as it is produced. The frozen steps run once here, batch_size patches
+    at a time; the stacked patches are dropped once their features exist.
     """
     config.validate()
     if not samples:
         raise DataError("training set is empty")
     model.set_freeze_prefix(config.freeze_prefix)
-    x, y = stack_samples(samples)
+    boundary = model.frozen_steps()
+    x, y = _frozen_features(model, samples, boundary, config.batch_size)
     if heldout:
-        hx, hy = stack_samples(heldout)
+        hx, hy = _frozen_features(model, heldout, boundary, config.batch_size)
     else:
         hx, hy = x, y
     params = model.named_parameters()
@@ -150,7 +175,7 @@ def train(model, samples, config, heldout=None, on_epoch=None):
         for bi, start in enumerate(range(0, n, config.batch_size)):
             take = perm[start:start + config.batch_size]
             loss, _, grads = model.loss_and_grads(
-                x[take], y[take], config.pos_weight
+                x[take], y[take], config.pos_weight, boundary
             )
             if not np.isfinite(loss):
                 raise EvaluationError(
@@ -158,7 +183,8 @@ def train(model, samples, config, heldout=None, on_epoch=None):
                 )
             adam_step(state, params, grads, model.freeze)
             loss_sum += loss * len(take)
-        report = evaluate_batched(model, hx, hy, max(config.batch_size, 16))
+        report = evaluate_batched(model, hx, hy, max(config.batch_size, 16),
+                                  start=boundary)
         entry = EpochStats(
             epoch, loss_sum / n, report.iou, report.precision,
             report.recall, report.f1,

@@ -7,7 +7,14 @@ import numpy as np
 
 from seishet.attention import relative_logits
 from seishet.errors import DimensionError, EvaluationError
-from seishet.numcore import softmax_lastdim
+from seishet.numcore import Prng, softmax_lastdim
+from seishet.train import (
+    AdamState,
+    EpochStats,
+    adam_step,
+    evaluate_batched,
+    stack_samples,
+)
 
 
 def ieee_to_ibm_word(value):
@@ -136,3 +143,34 @@ def relative_error(a, b):
         )
     denom = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-8)
     return float(np.abs(a - b).max(initial=0.0) / denom)
+
+
+def reference_train(model, samples, config, heldout=None):
+    """train() as a plain loop that runs the whole network in every step.
+
+    The oracle for train()'s cached frozen-prefix features: the same
+    shuffle, batches, optimizer and per-epoch evaluation, with every step
+    and every evaluation starting from the stacked patches.
+    """
+    config.validate()
+    model.set_freeze_prefix(config.freeze_prefix)
+    x, y = stack_samples(samples)
+    hx, hy = stack_samples(heldout) if heldout else (x, y)
+    params = model.named_parameters()
+    state = AdamState(params, config.learning_rate)
+    shuffle_master = Prng(config.shuffle_seed)
+    n = x.shape[0]
+    stats = []
+    for epoch in range(1, config.epochs + 1):
+        perm = shuffle_master.derive(epoch).permutation(n)
+        loss_sum = 0.0
+        for i in range(0, n, config.batch_size):
+            take = perm[i:i + config.batch_size]
+            loss, _, grads = model.loss_and_grads(x[take], y[take],
+                                                  config.pos_weight)
+            adam_step(state, params, grads, model.freeze)
+            loss_sum += loss * len(take)
+        report = evaluate_batched(model, hx, hy, max(config.batch_size, 16))
+        stats.append(EpochStats(epoch, loss_sum / n, report.iou,
+                                report.precision, report.recall, report.f1))
+    return model, stats

@@ -187,6 +187,16 @@ def test_finetune_zero_prefix_freezes_nothing(workspace, tmp_path):
     assert "frozen parameters: none" in r.stdout
 
 
+def test_finetune_rejects_prefix_beyond_the_ten_layers(workspace, tmp_path):
+    out = tmp_path / "t.ckpt"
+    r = run_cli("finetune", "--ckpt", workspace["ckpt"], "--data",
+                workspace["data"], "--out", out, "--epochs", "1",
+                "--freeze-prefix", "50")
+    assert r.returncode == 1
+    assert r.stderr.startswith("seishet: error: freeze prefix")
+    assert not out.exists()
+
+
 def test_finetune_variant_mismatch_exits_1(workspace, tmp_path):
     r = run_cli("finetune", "--ckpt", workspace["ckpt"], "--data",
                 workspace["data"], "--out", tmp_path / "t.ckpt",

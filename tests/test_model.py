@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import relative_error
-from seishet.errors import ConfigError, DimensionError, FormatError, IntegrityError
+from seishet.errors import (
+    ConfigError,
+    DataError,
+    DimensionError,
+    FormatError,
+    IntegrityError,
+)
 from seishet.layers import Dense, cross_entropy_2class
 from seishet.model import (
     CHECKPOINT_MAGIC,
@@ -385,3 +391,77 @@ def test_parameter_table_lists_every_tensor_once():
 def test_channel_softmax_free_function():
     logits = np.zeros((1, 2, 2, 2), dtype=np.float32)
     np.testing.assert_allclose(channel_softmax(logits), 0.5)
+
+
+# Steps ahead of each freeze prefix's first trainable step: the pool after
+# each stage is frozen with it, and prefix 5 backs off to the stage-3 skip.
+_FROZEN_STEPS = [0, 1, 3, 4, 6, 7, 10, 11, 12, 13, 14]
+
+
+@pytest.fixture(scope="module", params=["se", "self_attention"])
+def net_and_batch(request):
+    model = build_network(request.param, Prng(43))
+    prng = Prng(44)
+    x = prng.uniform(-1.0, 1.0, size=(3, 1, 44, 44)).astype(np.float32)
+    y = (prng.uniform(0.0, 1.0, size=(3, 44, 44)) < 0.3).astype(np.uint8)
+    return model, x, y
+
+
+def test_frozen_steps_follow_the_freeze_prefix(net_and_batch):
+    model = net_and_batch[0]
+    got = []
+    for prefix in range(11):
+        model.set_freeze_prefix(prefix)
+        got.append(model.frozen_steps())
+    assert got == _FROZEN_STEPS
+    model.set_freeze_prefix(5)
+    assert model._steps[model.frozen_steps()] == "skip"
+    model.set_freeze_prefix(10)
+    assert model.frozen_steps() == len(model._steps)
+
+
+def test_frozen_steps_stop_at_a_partly_trainable_layer(net_and_batch):
+    model = net_and_batch[0]
+    model.set_freeze_prefix(0)
+    model.freeze["stage1.conv1.weight"] = True
+    assert model.frozen_steps() == 0
+    model.set_freeze_prefix(0)
+
+
+@pytest.mark.parametrize("prefix", range(11))
+def test_walk_from_the_boundary_matches_the_full_walk(net_and_batch, prefix):
+    model, x, y = net_and_batch
+    model.set_freeze_prefix(prefix)
+    start = model.frozen_steps()
+    features = model.forward(x, stop=start)
+    full = model.forward(x)
+    assert model.forward(features, start=start).tobytes() == full.tobytes()
+    loss, logits, grads = model.loss_and_grads(x, y)
+    loss_k, logits_k, grads_k = model.loss_and_grads(features, y, start=start)
+    assert loss_k == loss
+    assert logits_k.tobytes() == logits.tobytes()
+    trainable = [n for n, frozen in model.freeze.items() if not frozen]
+    assert sorted(grads_k) == sorted(trainable)
+    for name in trainable:
+        assert grads_k[name].tobytes() == grads[name].tobytes(), name
+    model.set_freeze_prefix(0)
+
+
+def test_all_frozen_walk_scores_the_cached_logits(net_and_batch):
+    model, x, y = net_and_batch
+    model.set_freeze_prefix(10)
+    start = model.frozen_steps()
+    logits = model.forward(x, stop=start)
+    assert logits.tobytes() == model.forward(x).tobytes()
+    loss, out, grads = model.loss_and_grads(logits, y, start=start)
+    assert grads == {}
+    assert out is logits
+    assert loss == cross_entropy_2class(logits, y)[0]
+    model.set_freeze_prefix(0)
+
+
+@pytest.mark.parametrize("prefix", [-1, 11])
+def test_set_freeze_prefix_rejects_counts_outside_the_layers(prefix):
+    model = build_network("se", Prng(45))
+    with pytest.raises(DataError, match="freeze prefix"):
+        model.set_freeze_prefix(prefix)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from conftest import reference_train
 from seishet.errors import DataError, DimensionError, EvaluationError
 from seishet.layers import cross_entropy_2class
-from seishet.model import build_network
+from seishet.model import build_network, save_checkpoint
 from seishet.numcore import Prng
 from seishet.synthgen import SyntheticConfig, generate_dataset
 from seishet.train import (
@@ -136,8 +137,6 @@ def test_train_config_validation():
         TrainConfig(epochs=0).validate()
     with pytest.raises(DataError):
         TrainConfig(batch_size=0).validate()
-    with pytest.raises(DataError):
-        TrainConfig(split_fraction=1.0).validate()
 
 
 def test_one_epoch_reduces_loss_on_the_batch():
@@ -257,3 +256,34 @@ def test_pos_weight_training_runs():
         model, samples,
         TrainConfig(epochs=1, shuffle_seed=8, pos_weight=2.0))
     assert np.isfinite(stats[0].loss)
+
+
+@pytest.mark.parametrize("prefix", [-1, 11, 50])
+def test_train_rejects_freeze_prefix_outside_the_layer_count(prefix):
+    model = build_network("se", Prng(41))
+    with pytest.raises(DataError, match="freeze prefix"):
+        train(model, _tiny_dataset(2), TrainConfig(epochs=1, freeze_prefix=prefix))
+    assert not any(model.freeze.values())
+
+
+def _fit_bytes(fit, variant, prefix, heldout, tmp_path):
+    samples = _tiny_dataset(6, seed=11)
+    model = build_network(variant, Prng(42))
+    config = TrainConfig(epochs=2, batch_size=3, shuffle_seed=6,
+                         freeze_prefix=prefix)
+    held = samples[4:] if heldout else None
+    _, stats = fit(model, samples[:4] if heldout else samples, config, held)
+    path = tmp_path / ("%s.ckpt" % fit.__name__)
+    save_checkpoint(model, str(path))
+    return path.read_bytes(), stats
+
+
+@pytest.mark.parametrize("variant", ["se", "self_attention"])
+@pytest.mark.parametrize("prefix", range(11))
+def test_cached_frozen_features_train_like_the_full_network(variant, prefix,
+                                                            tmp_path):
+    for heldout in (False, True):
+        got = _fit_bytes(train, variant, prefix, heldout, tmp_path)
+        want = _fit_bytes(reference_train, variant, prefix, heldout, tmp_path)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
