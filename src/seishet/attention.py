@@ -49,7 +49,7 @@ class SeAttention:
             )
         self.fc1 = Dense(channels, channels // ratio, prng, dtype)
         self.fc2 = Dense(channels // ratio, channels, prng, dtype)
-        self.spatial = Conv2d(channels, 1, kernel=1, padding=0, prng=prng, dtype=dtype)
+        self.spatial = Conv2d(channels, 1, kernel=1, prng=prng, dtype=dtype)
 
     def forward_cache(self, x):
         z = se_squeeze(x)
@@ -294,8 +294,7 @@ class AugmentedAttentionConv:
                 % (d_v, out_ch)
             )
         self.out_ch = int(out_ch)
-        self.conv = Conv2d(in_ch, out_ch - d_v, kernel=3, padding=1,
-                           prng=prng, dtype=dtype)
+        self.conv = Conv2d(in_ch, out_ch - d_v, prng=prng, dtype=dtype)
         self.attn = RelativeSelfAttention2d(in_ch, height, width, heads,
                                             d_k, d_v, prng, dtype)
 

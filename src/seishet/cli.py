@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, FormatError, SeishetError
-from .metrics import evaluate, format_table, to_json
+from .metrics import evaluate, format_table, report_from_counts, to_json
 from .model import (
     FLOP_CONVENTION,
     MAX_ATTENTION_SIZE,
@@ -38,14 +38,7 @@ from .segy import (
     tile_predict,
 )
 from .synthgen import SyntheticConfig, generate_dataset, read_dataset, write_dataset
-from .train import (
-    TrainConfig,
-    evaluate_batched,
-    finetune,
-    split_dataset,
-    stack_samples,
-    train,
-)
+from .train import TrainConfig, finetune, split_dataset, train
 
 ATTENTION_CHOICES = {"se": "se", "self": "self_attention"}
 
@@ -78,13 +71,24 @@ def _nonneg_int(text):
     return value
 
 
-def _fraction(text):
+def _number(text):
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError("%r is not a number" % text)
+
+
+def _fraction(text):
+    value = _number(text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError("must lie in (0, 1), got %s" % text)
+    return value
+
+
+def _threshold(text):
+    value = _number(text)
+    if not 0.0 <= value <= 1.0:  # also false for nan
+        raise argparse.ArgumentTypeError("must lie in [0, 1], got %s" % text)
     return value
 
 
@@ -141,7 +145,8 @@ def _fit(fit, model, samples, args, master, heldout=None, **fields):
 
     The epoch shuffle seed is master.derive(2); `fields` are the other
     TrainConfig values. Each epoch line is printed and, with --log, written
-    to that file; the checkpoint is saved to --out.
+    to that file; the checkpoint is saved to --out. Returns fit's (model,
+    list of EpochStats).
     """
     config = TrainConfig(
         epochs=args.epochs,
@@ -157,12 +162,12 @@ def _fit(fit, model, samples, args, master, heldout=None, **fields):
         lines.append(stats.format_line())
         print(lines[-1])
 
-    model, _ = fit(model, samples, config, heldout=heldout, on_epoch=on_epoch)
+    model, stats = fit(model, samples, config, heldout=heldout, on_epoch=on_epoch)
     if args.log:
         with open(args.log, "w") as fh:
             fh.writelines(line + "\n" for line in lines)
     save_checkpoint(model, args.out)
-    return model
+    return model, stats
 
 
 def cmd_train(args):
@@ -174,11 +179,10 @@ def cmd_train(args):
         se_ratio=args.se_ratio, heads=args.heads, d_k=args.dk, d_v=args.dv
     )
     model = build_network(variant, master.derive(0), net_config)
-    model = _fit(train, model, train_set, args, master, heldout=test_set)
-    hx, hy = stack_samples(test_set)
-    report = evaluate_batched(model, hx, hy)
+    _, stats = _fit(train, model, train_set, args, master, heldout=test_set)
+    # the final epoch has just scored this model on the held-out set
     print("held-out metrics:")
-    print(format_table(report))
+    print(format_table(report_from_counts(stats[-1].counts)))
     print("checkpoint written to %s" % args.out)
     return 0
 
@@ -193,8 +197,8 @@ def cmd_finetune(args):
                 % (model.variant, args.attention)
             )
     samples = _load_samples(args.data, args.count_limit)
-    model = _fit(finetune, model, samples, args, Prng(_resolve_seed(args.seed)),
-                 freeze_prefix=args.freeze_prefix)
+    model, _ = _fit(finetune, model, samples, args, Prng(_resolve_seed(args.seed)),
+                    freeze_prefix=args.freeze_prefix)
     frozen = [name for name, flag in model.freeze.items() if flag]
     if frozen:
         print("frozen parameters (%d): %s" % (len(frozen), ", ".join(frozen)))
@@ -405,7 +409,8 @@ def build_parser():
     p = sub.add_parser("eval", help="score a confidence map against a mask")
     p.add_argument("--pred", required=True, help="PGM or CSV confidence map")
     p.add_argument("--truth", required=True, help="PGM ground-truth mask")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_threshold, default=0.5,
+                   help="confidence at or above which a pixel is positive")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("info", help="describe a checkpoint")

@@ -2,12 +2,16 @@
 
 All spatial operators follow the cross-correlation convention (no kernel
 flip) and pad with zeros. Activations live in (batch, channel, height,
-width) order. A k x k convolution works from its input zero-padded once
-into a channel-major flat buffer in which every kernel tap is a
-contiguous slice (see Conv2d); the transposed convolution scatters with
-_col2im and gathers with _im2col; 1x1 convolutions stay per patch on x's
-own view. Backward passes are checked against loop oracles and the
-central difference oracle.
+width) order. The geometry is the network's and nothing else: Conv2d is
+stride 1 with padding k // 2, so it keeps H and W (k = 3 in the trunk and
+attention branch, k = 1 for the head and the SE spatial gate), and
+TransposedConv2d is the 3x3 stride-2 upsampler that exactly doubles H and
+W. A 3x3 convolution works from its input zero-padded once into a
+channel-major flat buffer in which every kernel tap is a contiguous slice
+(see Conv2d); the transposed convolution scatters with _col2im and
+gathers with _im2col; 1x1 convolutions stay per patch on x's own view.
+Backward passes are checked against loop oracles and the central
+difference oracle.
 
 Every layer has the same protocol: ``forward(x)`` returns the output and
 keeps nothing; ``forward_cache(x)`` returns ``(y, cache)``; ``backward(cache,
@@ -73,10 +77,9 @@ def _grid(x_shape, kernel, stride, padding):
     return hp, wp, (hp - kernel) // stride + 1, (wp - kernel) // stride + 1
 
 
-def _valid(a, b, hp, wp, ho, wo, stride):
-    """(B, R, Ho, Wo) view of the strided outputs in a (R, B*Hp*Wp) grid."""
-    grid = a.reshape(a.shape[0], b, hp, wp)
-    return grid[:, :, :stride * ho:stride, :stride * wo:stride].transpose(1, 0, 2, 3)
+def _valid(a, b, hp, wp, ho, wo):
+    """(B, R, Ho, Wo) view of the stride-1 outputs in a (R, B*Hp*Wp) grid."""
+    return a.reshape(a.shape[0], b, hp, wp)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
 
 
 def _im2col(xf, x_shape, kernel, stride, padding):
@@ -126,46 +129,29 @@ def _per_patch(wm, cols, b):
 
 
 class Conv2d:
-    """2D convolution (cross-correlation) with zero padding and bias.
+    """Stride-1 2D convolution (cross-correlation) with bias, same size out.
 
-    The input is zero-padded once into a channel-major flat buffer (see
-    _pad_flat); the training tape keeps only that. With out_ch > in_ch the
-    forward gathers the k*k-fold columns of the narrower input once and
-    takes one product per patch, since k*k passes over the wider output
-    would cost more; otherwise it sums k*k tap products over the padded
-    grid. Backward works from the same buffer, in blocks of grid columns:
-    grad_w gathers one block's taps at a time, and grad_x adds one block's
-    tap products in tap order.
+    A k x k kernel pads by k // 2; k is 3 or 1. For k = 3 the input is
+    zero-padded once into a channel-major flat buffer (see _pad_flat); the
+    training tape keeps only that. With out_ch > in_ch the forward gathers the
+    k*k-fold columns of the narrower input once and takes one product per
+    patch, since k*k passes over the wider output would cost more;
+    otherwise it sums k*k tap products over the padded grid. Backward works
+    from the same buffer, in blocks of grid columns: grad_w gathers one
+    block's taps at a time, and grad_x adds one block's tap products in tap
+    order. A 1x1 kernel multiplies each patch's own view of x.
     """
 
-    def __init__(self, in_ch, out_ch, kernel=3, stride=1, padding=1,
-                 prng=None, dtype=np.float32):
+    def __init__(self, in_ch, out_ch, kernel=3, prng=None, dtype=np.float32):
         self.in_ch = int(in_ch)
         self.out_ch = int(out_ch)
         self.kernel = int(kernel)
-        self.stride = int(stride)
-        self.padding = int(padding)
         shape = (self.out_ch, self.in_ch, self.kernel, self.kernel)
         if prng is None:
             self.weight = np.zeros(shape, dtype=dtype)
         else:
             self.weight = glorot_init(shape, prng, dtype)
         self.bias = np.zeros(self.out_ch, dtype=dtype)
-
-    def _check(self, x):
-        if x.ndim != 4 or x.shape[1] != self.in_ch:
-            raise DimensionError(
-                "conv expects (B,%d,H,W), got %s" % (self.in_ch, (x.shape,))
-            )
-        k, s, p = self.kernel, self.stride, self.padding
-        if (x.shape[2] + 2 * p - k) % s or (x.shape[3] + 2 * p - k) % s:
-            raise DimensionError(
-                "spatial size %dx%d (padding %d) is not divisible for kernel %d stride %d"
-                % (x.shape[2], x.shape[3], p, k, s)
-            )
-
-    def _pointwise(self):
-        return self.kernel == 1 and self.stride == 1 and self.padding == 0
 
     def _taps(self, wp):
         """(k*k, O, C) tap weight matrices and each tap's flat offset i*wp + j."""
@@ -176,23 +162,24 @@ class Conv2d:
 
     def forward_cache(self, x):
         """Output plus the (flat padded input, input shape) cache backward needs."""
-        self._check(x)
-        b = x.shape[0]
-        if self._pointwise():
+        if x.ndim != 4 or x.shape[1] != self.in_ch:
+            raise DimensionError(
+                "conv expects (B,%d,H,W), got %s" % (self.in_ch, (x.shape,))
+            )
+        b, k = x.shape[0], self.kernel
+        if k == 1:
             cols = x.reshape(b, self.in_ch, -1)
             y = np.matmul(self.weight.reshape(self.out_ch, -1), cols)
-            y = y.reshape(b, self.out_ch, *x.shape[2:])
             cache = (cols, x.shape)
         else:
-            k, s, p = self.kernel, self.stride, self.padding
-            xf = _pad_flat(x, k, p)
+            xf = _pad_flat(x, k, k // 2)
             if self.out_ch > self.in_ch:
-                cols, ho, wo = _im2col(xf, x.shape, k, s, p)
+                cols = _im2col(xf, x.shape, k, 1, k // 2)[0]
                 y = _per_patch(self.weight.reshape(self.out_ch, -1), cols, b)
-                y = y.reshape(b, self.out_ch, ho, wo)
             else:
                 y = self._tap_sum(xf, x.shape)
             cache = (xf, x.shape)
+        y = y.reshape((b, self.out_ch) + x.shape[2:])
         y += self.bias[:, None, None]
         return y, cache
 
@@ -206,7 +193,7 @@ class Conv2d:
         padding rows, which hold no output.
         """
         b = x_shape[0]
-        hp, wp, ho, wo = _grid(x_shape, self.kernel, self.stride, self.padding)
+        hp, wp, ho, wo = _grid(x_shape, self.kernel, 1, self.kernel // 2)
         grid = hp * wp
         per = max(1, min(b, _BLOCK_BYTES // (2 * self.out_ch * grid * xf.itemsize)))
         weights, offsets = self._taps(wp)
@@ -218,7 +205,7 @@ class Conv2d:
             acc = np.matmul(weights[0], xf[:, q:q + m], out=total[:, :m])
             for w_t, off in zip(weights[1:], offsets[1:]):
                 acc += np.matmul(w_t, xf[:, q + off:q + off + m], out=part[:, :m])
-            y[b0:b0 + nb] = _valid(acc, nb, hp, wp, ho, wo, self.stride)
+            y[b0:b0 + nb] = _valid(acc, nb, hp, wp, ho, wo)
         return y
 
     def forward(self, x):
@@ -229,19 +216,19 @@ class Conv2d:
         b = cache[1][0]
         g = grad_out.reshape(b, self.out_ch, -1)
         grad_b = g.sum(axis=(0, 2))
-        if self._pointwise():
+        if self.kernel == 1:
             cols, x_shape = cache
             grad_w = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
             wm = self.weight.reshape(self.out_ch, -1)
             grad_x = np.matmul(wm.T, g).reshape(x_shape) if input_grad else None
             return grad_x, grad_w.reshape(self.weight.shape), grad_b
         xf, x_shape = cache
-        k, s, p = self.kernel, self.stride, self.padding
-        hp, wp, ho, wo = _grid(x_shape, k, s, p)
+        p = self.kernel // 2
+        hp, wp, ho, wo = _grid(x_shape, self.kernel, 1, p)
         n = b * hp * wp
         # the output gradient on the padded grid, zero where no output is
         gf = np.zeros((self.out_ch, n), dtype=grad_out.dtype)
-        _valid(gf, b, hp, wp, ho, wo, s)[...] = grad_out
+        _valid(gf, b, hp, wp, ho, wo)[...] = grad_out
         grad_w = self._weight_grad(xf, gf, wp, n)
         if not input_grad:
             return None, grad_w, grad_b
@@ -337,30 +324,22 @@ class Dense:
 class TransposedConv2d:
     """Stride-2 transposed 3x3 convolution that exactly doubles H and W.
 
-    Weight is shaped (in_ch, out_ch, kh, kw). Forward is W^T x, one kernel
-    stamp per input pixel, scattered by _col2im onto the output grid padded
-    by `padding` (output padding rows stay unstamped), the adjoint of a
-    padded strided convolution; backward gathers with _im2col.
+    Weight is shaped (in_ch, out_ch, 3, 3). Forward is W^T x, one kernel
+    stamp per input pixel, scattered by _col2im onto the 2H x 2W output
+    grid padded by 1, so the stamps' last row and column fall off: the
+    adjoint of a stride-2 3x3 convolution over the output padded by one
+    leading zero row and column. Backward gathers with _im2col.
     """
 
-    def __init__(self, in_ch, out_ch, kernel=3, stride=2, padding=1,
-                 output_padding=1, prng=None, dtype=np.float32):
+    def __init__(self, in_ch, out_ch, prng=None, dtype=np.float32):
         self.in_ch = int(in_ch)
         self.out_ch = int(out_ch)
-        self.kernel = int(kernel)
-        self.stride = int(stride)
-        self.padding = int(padding)
-        self.output_padding = int(output_padding)
-        shape = (self.in_ch, self.out_ch, self.kernel, self.kernel)
+        shape = (self.in_ch, self.out_ch, 3, 3)
         if prng is None:
             self.weight = np.zeros(shape, dtype=dtype)
         else:
             self.weight = glorot_init(shape, prng, dtype)
         self.bias = np.zeros(self.out_ch, dtype=dtype)
-
-    def out_size(self, h, w):
-        k, s, p, op = self.kernel, self.stride, self.padding, self.output_padding
-        return (h - 1) * s - 2 * p + k + op, (w - 1) * s - 2 * p + k + op
 
     def forward(self, x):
         if x.ndim != 4 or x.shape[1] != self.in_ch:
@@ -368,15 +347,8 @@ class TransposedConv2d:
                 "transposed conv expects (B,%d,H,W), got %s" % (self.in_ch, (x.shape,))
             )
         b, _, h, w = x.shape
-        if self.output_padding > self.padding or self.output_padding >= self.stride:
-            raise DimensionError(
-                "output padding %d must be below stride %d and at most padding %d"
-                % (self.output_padding, self.stride, self.padding)
-            )
-        wm = self.weight.reshape(self.in_ch, -1)
-        stamps = wm.T @ _channel_major(x)
-        y_shape = (b, self.out_ch) + self.out_size(h, w)
-        y = _col2im(stamps, y_shape, self.kernel, self.stride, self.padding)
+        stamps = self.weight.reshape(self.in_ch, -1).T @ _channel_major(x)
+        y = _col2im(stamps, (b, self.out_ch, 2 * h, 2 * w), 3, 2, 1)
         y += self.bias[:, None, None]
         return y
 
@@ -385,8 +357,7 @@ class TransposedConv2d:
 
     def backward(self, x, grad_out, input_grad=True):
         grad_b = grad_out.sum(axis=(0, 2, 3))
-        k, s, p = self.kernel, self.stride, self.padding
-        gcols, _, _ = _im2col(_pad_flat(grad_out, k, p), grad_out.shape, k, s, p)
+        gcols = _im2col(_pad_flat(grad_out, 3, 1), grad_out.shape, 3, 2, 1)[0]
         wm = self.weight.reshape(self.in_ch, -1)
         grad_x = (_per_patch(wm, gcols, x.shape[0]).reshape(x.shape)
                   if input_grad else None)

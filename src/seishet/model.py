@@ -100,32 +100,21 @@ class HetNet:
         self.config = config or NetConfig()
         self.dtype = dtype
         cfg = self.config
-        self.conv11 = Conv2d(1, 20, prng=prng, dtype=dtype)
-        self.conv12 = Conv2d(20, 20, prng=prng, dtype=dtype)
-        self.conv21 = Conv2d(20, 50, prng=prng, dtype=dtype)
-        self.conv22 = Conv2d(50, 50, prng=prng, dtype=dtype)
-        self.conv31 = Conv2d(50, 50, prng=prng, dtype=dtype)
-        self.conv32 = Conv2d(50, 50, prng=prng, dtype=dtype)
-        if variant == "se":
-            self.attention = SeAttention(100, cfg.se_ratio, prng, dtype)
-        else:
-            self.attention = AugmentedAttentionConv(
-                100, 100, GRID, GRID, cfg.heads, cfg.d_k, cfg.d_v, prng, dtype
-            )
-        self.up1 = TransposedConv2d(100, 20, prng=prng, dtype=dtype)
-        self.up2 = TransposedConv2d(20, 10, prng=prng, dtype=dtype)
-        self.head = Conv2d(10, 2, kernel=1, padding=0, prng=prng, dtype=dtype)
+        # built in this order, which fixes the initial-weight draws
         self._steps = [
-            ("stage1.conv1", self.conv11, True),
-            ("stage1.conv2", self.conv12, True), _POOL,
-            ("stage2.conv1", self.conv21, True),
-            ("stage2.conv2", self.conv22, True), _POOL,
-            ("stage3.conv1", self.conv31, True), _SKIP,
-            ("stage3.conv2", self.conv32, True), _CONCAT,
-            ("attention", self.attention, False),
-            ("up1", self.up1, True),
-            ("up2", self.up2, True),
-            ("head", self.head, False),
+            ("stage1.conv1", Conv2d(1, 20, prng=prng, dtype=dtype), True),
+            ("stage1.conv2", Conv2d(20, 20, prng=prng, dtype=dtype), True), _POOL,
+            ("stage2.conv1", Conv2d(20, 50, prng=prng, dtype=dtype), True),
+            ("stage2.conv2", Conv2d(50, 50, prng=prng, dtype=dtype), True), _POOL,
+            ("stage3.conv1", Conv2d(50, 50, prng=prng, dtype=dtype), True), _SKIP,
+            ("stage3.conv2", Conv2d(50, 50, prng=prng, dtype=dtype), True), _CONCAT,
+            ("attention", SeAttention(100, cfg.se_ratio, prng, dtype)
+             if variant == "se" else AugmentedAttentionConv(
+                 100, 100, GRID, GRID, cfg.heads, cfg.d_k, cfg.d_v, prng, dtype),
+             False),
+            ("up1", TransposedConv2d(100, 20, prng, dtype), True),
+            ("up2", TransposedConv2d(20, 10, prng, dtype), True),
+            ("head", Conv2d(10, 2, kernel=1, prng=prng, dtype=dtype), False),
         ]
         self._layers = [step[:2] for step in self._steps
                         if step not in (_POOL, _SKIP, _CONCAT)]
@@ -138,18 +127,6 @@ class HetNet:
             for pname, arr in layer.params():
                 out[lname + "." + pname] = arr
         return out
-
-    def set_parameter(self, name, value):
-        params = self.named_parameters()
-        if name not in params:
-            raise IntegrityError("unknown parameter %r" % name)
-        target = params[name]
-        if target.shape != value.shape:
-            raise IntegrityError(
-                "parameter %s has shape %s, got %s"
-                % (name, target.shape, value.shape)
-            )
-        target[...] = value
 
     def set_freeze_prefix(self, count):
         """Freeze all parameters of the first `count` layers, thaw the rest."""
@@ -214,12 +191,10 @@ class HetNet:
                 continue
             else:
                 _, layer, act = step
-                z, cache = layer.forward_cache(x)
+                x, cache = layer.forward_cache(x)
                 if act:
-                    x, term = gelu_cache(z)
-                    cache = (cache, z, term)
-                else:
-                    x = z
+                    x, derivative = gelu_cache(x)
+                    cache = (cache, derivative)
             if tape is not None:
                 tape.append(cache)
         return x
@@ -254,8 +229,8 @@ class HetNet:
             else:
                 name, layer, act = step
                 if act:
-                    cache, z, term = cache
-                    g = g * gelu_grad_cached(z, term)
+                    cache, derivative = cache
+                    g = gelu_grad_cached(g, derivative)
                 g, *pgrads = layer.backward(cache, g, input_grad=i > start)
                 grads.update((name + "." + pname, pg)
                              for (pname, _), pg in zip(layer.params(), pgrads))
@@ -297,7 +272,7 @@ def _attention_flops(model):
         return fl
     f_in, f_out = 100, 100
     dk, dv = cfg.d_k, cfg.d_v
-    heads = model.attention.attn.heads
+    heads = cfg.heads
     fl = _conv_flops(f_in, f_out - dv, 3, g, g)
     fl += 2 * n * f_in * (dk + dk + dv)    # q, k, v projections
     fl += 2 * n * n * dk                   # content logits
@@ -439,10 +414,10 @@ def load_checkpoint(path):
                 )
             count = int(np.prod(dims, dtype=np.int64)) if rank else 1
             raw = _read_exact(fh, 4 * count, "tensor data")
-            arr = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+            arr = np.frombuffer(raw, dtype="<f4").reshape(dims)
             if not np.isfinite(arr).all():
                 raise IntegrityError("tensor %s has non-finite values" % name)
-            model.set_parameter(name, arr)
+            expected[name][...] = arr
         seen = set()
         for _ in range(len(expected)):
             name = _read_name(fh, "freeze")

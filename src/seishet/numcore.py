@@ -2,7 +2,10 @@
 
 Tensors are plain numpy arrays in row-major order. Training code runs in
 float32; gradient checks run in float64. Functions here preserve the dtype
-of their input unless stated otherwise.
+of their input unless stated otherwise. A training step keeps one array
+per GeLU for backward: the derivative that ``gelu_cache`` returns beside
+the activation, which ``gelu_grad_cached`` multiplies into the incoming
+gradient; the pre-activation itself is not kept.
 
 Randomness is counter based so streams are reproducible and splittable.
 ``Prng`` wraps numpy's Philox bit generator keyed by a 64-bit seed. Child
@@ -153,24 +156,21 @@ def gelu_grad(x):
 
 
 def gelu_cache(x):
-    """gelu(x) along with the term its backward needs.
+    """(gelu(x), gelu_grad(x)): the activation and all its backward reads.
 
-    That term is the Gaussian CDF for float64 input and the whole
-    derivative gelu_grad(x) for float32 input, computed from the same
-    exp(-x^2/2); either way one array per activation.
+    Float32 input gets both from one _gelu_f32 pass over the same
+    exp(-x^2/2); float64 input gets the erf forms of gelu and gelu_grad.
     """
     x = np.asarray(x)
     if x.dtype == np.float32:
         return tuple(_gelu_f32(x, ("value", "grad")))
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    return x * cdf, cdf
+    return x * cdf, cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
 
 
-def gelu_grad_cached(x, cache):
-    """gelu_grad(x) given the cache term returned by gelu_cache."""
-    if np.asarray(x).dtype == np.float32:
-        return cache
-    return cache + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+def gelu_grad_cached(grad_out, derivative):
+    """GeLU backward: grad_out times the derivative gelu_cache returned."""
+    return grad_out * derivative
 
 
 def sigmoid(x):

@@ -74,6 +74,8 @@ class SyntheticConfig:
             raise ConfigError("dip range must sit inside (0, 180) degrees")
         if self.throw[0] < 0:
             raise ConfigError("fault throw cannot be negative")
+        if self.fold_wavelength[0] <= 0:
+            raise ConfigError("fold wavelength must be positive")
         if self.wavelet_period[0] <= 0:
             raise ConfigError("wavelet period must be positive")
         if self.noise[0] < 0:

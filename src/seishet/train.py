@@ -13,7 +13,7 @@ checkpoint and epoch log equal those of running the whole network per
 step.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -53,6 +53,7 @@ class EpochStats:
     precision: float
     recall: float
     f1: float
+    counts: ConfusionCounts = field(default=None, compare=False)
 
     def format_line(self):
         return "epoch %d loss %.6f iou %.6f precision %.6f recall %.6f f1 %.6f" % (
@@ -116,15 +117,15 @@ def stack_samples(samples):
     return x, y
 
 
-def evaluate_batched(model, x, y, batch_size=64, threshold=0.5, start=0):
-    """Micro-averaged metrics of the model's thresholded predictions.
+def evaluate_batched(model, x, y, batch_size=64, start=0):
+    """Micro-averaged metrics of the model's predictions thresholded at 0.5.
 
     x is the activation entering step `start` of the model's walk.
     """
     counts = ConfusionCounts()
     for i in range(0, x.shape[0], batch_size):
         prob = channel_softmax(model.forward(x[i:i + batch_size], start=start))
-        pred = (prob[:, 1] >= threshold).astype(np.uint8)
+        pred = (prob[:, 1] >= 0.5).astype(np.uint8)
         counts = counts + confusion_counts(pred, y[i:i + batch_size])
     return report_from_counts(counts)
 
@@ -187,7 +188,7 @@ def train(model, samples, config, heldout=None, on_epoch=None):
                                   start=boundary)
         entry = EpochStats(
             epoch, loss_sum / n, report.iou, report.precision,
-            report.recall, report.f1,
+            report.recall, report.f1, report.counts,
         )
         stats.append(entry)
         if on_epoch is not None:

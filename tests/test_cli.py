@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import write_raw_section, write_segy
+from seishet import cli
+from seishet import train as train_module
 from seishet.metrics import evaluate
 from seishet.model import count_params_flops, load_checkpoint
 from seishet.numcore import Prng
@@ -75,6 +77,14 @@ def test_gen_rejects_zero_count(tmp_path):
     assert "--count" in r.stderr
 
 
+def test_gen_rejects_zero_fold_wavelength(tmp_path):
+    r = run_cli("gen", "--out", tmp_path / "d", "--count", "1",
+                "--fold-wavelength", "0", "0")
+    assert r.returncode == 1
+    assert r.stderr == "seishet: error: fold wavelength must be positive\n"
+    assert not (tmp_path / "d").exists()
+
+
 def test_gen_requires_out_flag():
     r = run_cli("gen", "--count", "2")
     assert r.returncode == 2
@@ -103,6 +113,30 @@ def test_train_prints_heldout_metrics(workspace, tmp_path):
     assert "held-out metrics:" in r.stdout
     assert "iou" in r.stdout
     assert "checkpoint written to" in r.stdout
+
+
+def test_train_scores_the_heldout_set_once_per_epoch(workspace, tmp_path,
+                                                    monkeypatch, capsys):
+    original = train_module.evaluate_batched
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))  # patches scored
+        return original(*args, **kwargs)
+
+    for module in (train_module, cli):
+        if getattr(module, "evaluate_batched", None) is original:
+            monkeypatch.setattr(module, "evaluate_batched", counting)
+    assert cli.main(["train", "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "m.ckpt"), "--attention", "se",
+                     "--epochs", "2", "--seed", "3", "--count-limit", "16"]) == 0
+    assert calls == [4, 4]  # the 4 held-out patches of 16, once per epoch
+    # the held-out table repeats the final epoch's figures
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("epoch 2 ") and out[2] == "held-out metrics:"
+    table = dict(line.split()[:2] for line in out[4:8])
+    assert [table[k] for k in ("iou", "precision", "recall", "f1")] \
+        == out[1].split()[5::2]
 
 
 def test_train_variant_flag_tags_checkpoint(workspace, tmp_path):
@@ -348,6 +382,24 @@ def test_eval_matches_library_scoring(tmp_path):
     assert payload["fp"] == report.counts.fp
     assert payload["fn"] == report.counts.fn
     assert payload["iou"] == pytest.approx(report.iou, abs=1e-12)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "1.5", "half"])
+def test_eval_rejects_a_threshold_outside_the_unit_interval(tmp_path, value):
+    path = tmp_path / "m.pgm"
+    write_pgm(path, np.full((4, 4), 255, dtype=np.uint8))
+    r = run_cli("eval", "--pred", path, "--truth", path, "--threshold", value)
+    assert r.returncode == 2
+    assert "--threshold" in r.stderr and r.stdout == ""
+
+
+@pytest.mark.parametrize("value", ["0", "0.5", "1"])
+def test_eval_accepts_thresholds_in_the_unit_interval(tmp_path, value):
+    path = tmp_path / "m.pgm"
+    write_pgm(path, np.full((4, 4), 255, dtype=np.uint8))
+    r = run_cli("eval", "--pred", path, "--truth", path, "--threshold", value)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout.splitlines()[-1])["iou"] == 1.0
 
 
 def test_eval_shape_mismatch_exits_1(tmp_path):

@@ -24,8 +24,8 @@ from seishet.numcore import Prng
 LN2 = 0.6931471805599453
 
 
-def _conv64(in_ch, out_ch, seed, kernel=3, stride=1, padding=1):
-    layer = Conv2d(in_ch, out_ch, kernel, stride, padding, dtype=np.float64)
+def _conv64(in_ch, out_ch, seed):
+    layer = Conv2d(in_ch, out_ch, dtype=np.float64)
     p = Prng(seed)
     layer.weight = p.normal(size=layer.weight.shape)
     layer.bias = p.normal(size=layer.bias.shape)
@@ -44,18 +44,20 @@ def test_glorot_bounds_and_determinism():
 
 
 def test_conv_identity_kernel_reproduces_input():
-    layer = Conv2d(1, 1, kernel=3, padding=1, dtype=np.float64)
+    layer = Conv2d(1, 1, kernel=3, dtype=np.float64)
     layer.weight[0, 0, 1, 1] = 1.0
     x = Prng(1).normal(size=(1, 1, 3, 3))
     np.testing.assert_allclose(layer.forward(x), x, atol=0)
 
 
 def test_conv_all_ones_counts_window():
-    layer = Conv2d(1, 1, kernel=3, padding=0, dtype=np.float64)
+    layer = Conv2d(1, 1, kernel=3, dtype=np.float64)
     layer.weight[:] = 1.0
     layer.bias[:] = 0.25
     y = layer.forward(np.ones((1, 1, 5, 5)))
-    np.testing.assert_array_equal(y, np.full((1, 1, 3, 3), 9.25))
+    # zero padding 1: corner windows hold 4 ones, edge windows 6, inner 9
+    side = np.array([2.0, 3.0, 3.0, 3.0, 2.0])
+    np.testing.assert_array_equal(y[0, 0], np.outer(side, side) + 0.25)
 
 
 def _conv_loop_oracle(x, weight, bias, stride, padding):
@@ -85,19 +87,10 @@ def test_conv_matches_loop_oracle_exactly():
     p = Prng(21)
     # integer-valued floats make BLAS and loop sums bit-identical
     x = p.randint(-4, 4, size=(2, 3, 8, 8)).astype(np.float64)
-    layer = Conv2d(3, 4, kernel=3, padding=1, dtype=np.float64)
+    layer = Conv2d(3, 4, kernel=3, dtype=np.float64)
     layer.weight = p.randint(-3, 3, size=layer.weight.shape).astype(np.float64)
     layer.bias = p.randint(-3, 3, size=4).astype(np.float64)
     oracle = _conv_loop_oracle(x, layer.weight, layer.bias, 1, 1)
-    np.testing.assert_array_equal(layer.forward(x), oracle)
-
-
-def test_conv_strided_matches_loop_oracle():
-    p = Prng(22)
-    x = p.randint(-4, 4, size=(1, 2, 7, 7)).astype(np.float64)
-    layer = Conv2d(2, 3, kernel=3, stride=2, padding=0, dtype=np.float64)
-    layer.weight = p.randint(-3, 3, size=layer.weight.shape).astype(np.float64)
-    oracle = _conv_loop_oracle(x, layer.weight, layer.bias, 2, 0)
     np.testing.assert_array_equal(layer.forward(x), oracle)
 
 
@@ -105,9 +98,8 @@ def test_conv_shape_errors():
     layer = Conv2d(3, 4)
     with pytest.raises(DimensionError):
         layer.forward(np.zeros((1, 2, 8, 8), dtype=np.float32))
-    bad = Conv2d(1, 1, kernel=3, stride=2, padding=0)
     with pytest.raises(DimensionError):
-        bad.forward(np.zeros((1, 1, 6, 6), dtype=np.float32))
+        layer.forward(np.zeros((3, 8, 8), dtype=np.float32))
 
 
 def test_conv_batch_decomposition():
@@ -169,20 +161,20 @@ def _conv_backward_loop_oracle(x, weight, g, stride, padding):
     return gxp[:, :, padding:padding + h, padding:padding + w], gw
 
 
-@pytest.mark.parametrize("stride,padding,size", [(2, 0, 7), (1, 1, 6), (2, 1, 5)])
-def test_conv_forward_and_backward_match_loop_oracle(stride, padding, size):
-    p = Prng(23 + stride + padding)
+@pytest.mark.parametrize("kernel,size", [(3, 6), (3, 5), (1, 6)])
+def test_conv_forward_and_backward_match_loop_oracle(kernel, size):
+    p = Prng(23 + kernel + size)
     # integer-valued floats make BLAS and loop sums bit-identical
     x = p.randint(-4, 4, size=(2, 3, size, size)).astype(np.float64)
-    layer = Conv2d(3, 4, kernel=3, stride=stride, padding=padding, dtype=np.float64)
+    layer = Conv2d(3, 4, kernel=kernel, dtype=np.float64)
     layer.weight = p.randint(-3, 3, size=layer.weight.shape).astype(np.float64)
     layer.bias = p.randint(-3, 3, size=4).astype(np.float64)
     y, cache = layer.forward_cache(x)
     np.testing.assert_array_equal(y, _conv_loop_oracle(x, layer.weight, layer.bias,
-                                                       stride, padding))
+                                                       1, kernel // 2))
     g = p.randint(-3, 3, size=y.shape).astype(np.float64)
     gx, gw, gb = layer.backward(cache, g)
-    gx_ref, gw_ref = _conv_backward_loop_oracle(x, layer.weight, g, stride, padding)
+    gx_ref, gw_ref = _conv_backward_loop_oracle(x, layer.weight, g, 1, kernel // 2)
     np.testing.assert_array_equal(gx, gx_ref)
     np.testing.assert_array_equal(gw, gw_ref)
     np.testing.assert_array_equal(gb, g.sum(axis=(0, 2, 3)))
@@ -208,10 +200,10 @@ def test_conv_backward_zero_grad():
 
 
 def test_conv_backward_single_pixel_recovers_window():
-    layer = Conv2d(1, 1, kernel=3, padding=0, dtype=np.float64)
+    layer = Conv2d(1, 1, kernel=3, dtype=np.float64)
     x = Prng(4).normal(size=(1, 1, 5, 5))
-    g = np.zeros((1, 1, 3, 3))
-    g[0, 0, 1, 2] = 1.0
+    g = np.zeros((1, 1, 5, 5))
+    g[0, 0, 2, 3] = 1.0  # the window centred on x[2, 3]
     _, gw, gb = layer.backward(layer.forward_cache(x)[1], g)
     np.testing.assert_array_equal(gw[0, 0], x[0, 0, 1:4, 2:5])
     assert gb[0] == 1.0
@@ -363,10 +355,10 @@ def test_conv_backward_without_input_gradient():
 def test_transposed_conv_adjoint_identity_at_network_sizes(in_ch, out_ch, size):
     """<T x, y> must equal <x, T^t y> where T^t is a strided convolution.
 
-    Cropping the stamp grid by padding 1 with output padding 1 drops its
-    first row and column, so the adjoint convolves y padded by one leading
-    zero row/column, stride 2, no further padding, with the same weight
-    tensor read as (out=in_ch, in=out_ch).
+    The output grid is the stamp grid cropped by one leading row and
+    column (and the trailing ones past 2H x 2W), so the adjoint convolves y
+    padded by one leading zero row/column, stride 2, no further padding,
+    with the same weight tensor read as (out=in_ch, in=out_ch).
     """
     p = Prng(60 + in_ch)
     tconv = TransposedConv2d(in_ch, out_ch, dtype=np.float64)
@@ -374,10 +366,9 @@ def test_transposed_conv_adjoint_identity_at_network_sizes(in_ch, out_ch, size):
     x = p.normal(size=(1, in_ch, size, size))
     y = p.normal(size=(1, out_ch, 2 * size, 2 * size))
     lhs = float((tconv.forward(x) * y).sum())
-    conv = Conv2d(out_ch, in_ch, kernel=3, stride=2, padding=0, dtype=np.float64)
-    conv.weight = tconv.weight
     ypad = np.pad(y, ((0, 0), (0, 0), (1, 0), (1, 0)))
-    rhs = float((conv.forward(ypad) * x).sum())
+    conv = _conv_loop_oracle(ypad, tconv.weight, np.zeros(in_ch), 2, 0)
+    rhs = float((conv * x).sum())
     assert abs(lhs - rhs) <= 1e-5 * max(abs(lhs), 1.0)
 
 

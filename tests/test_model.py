@@ -26,7 +26,7 @@ from seishet.model import (
     parameter_table,
     save_checkpoint,
 )
-from seishet.numcore import Prng
+from seishet.numcore import Prng, gelu_grad
 
 
 def _conv_params(in_ch, out_ch, k):
@@ -85,8 +85,8 @@ def test_builds_are_deterministic_per_seed():
         for name, arr in a.named_parameters().items():
             np.testing.assert_array_equal(arr, b.named_parameters()[name])
     assert not np.array_equal(
-        build_network("se", Prng(5)).conv11.weight,
-        build_network("se", Prng(6)).conv11.weight,
+        build_network("se", Prng(5)).named_parameters()["stage1.conv1.weight"],
+        build_network("se", Prng(6)).named_parameters()["stage1.conv1.weight"],
     )
 
 
@@ -217,14 +217,6 @@ def test_set_freeze_prefix_marks_layerwise():
     ]
     model.set_freeze_prefix(0)
     assert not any(model.freeze.values())
-
-
-def test_set_parameter_validates():
-    model = build_network("se", Prng(18))
-    with pytest.raises(IntegrityError):
-        model.set_parameter("nope.weight", np.zeros(3, dtype=np.float32))
-    with pytest.raises(IntegrityError):
-        model.set_parameter("head.bias", np.zeros(3, dtype=np.float32))
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
@@ -358,6 +350,20 @@ def test_checkpoint_duplicate_freeze_flag(tmp_path):
         load_checkpoint(_tampered_checkpoint(tmp_path, "se", edit))
 
 
+@pytest.mark.parametrize("old,new,message", [
+    (b"stage1.conv1.bias", b"stage1.conv9.bias", "unexpected tensor"),
+    (b"stage1.conv2.bias", b"stage1.conv1.bias", "duplicate tensor"),
+])
+def test_checkpoint_tensor_names_must_be_known_and_distinct(tmp_path, old, new,
+                                                            message):
+    def edit(blob):
+        at = blob.index(old)  # the tensor record, ahead of the freeze entries
+        blob[at:at + len(old)] = new
+
+    with pytest.raises(IntegrityError, match=message):
+        load_checkpoint(_tampered_checkpoint(tmp_path, "se", edit))
+
+
 def test_checkpoint_unknown_variant_code(tmp_path):
     model = build_network("se", Prng(24))
     path = str(tmp_path / "t.ckpt")
@@ -377,7 +383,8 @@ def test_checkpoint_preserves_custom_config(tmp_path):
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
     assert loaded.config == cfg
-    assert loaded.attention.attn.heads == 2
+    # two heads split d_k = 16 into 8-wide relative tables
+    assert loaded.named_parameters()["attention.attn.rel_w"].shape == (21, 8)
 
 
 def test_parameter_table_lists_every_tensor_once():
@@ -465,3 +472,57 @@ def test_set_freeze_prefix_rejects_counts_outside_the_layers(prefix):
     model = build_network("se", Prng(45))
     with pytest.raises(DataError, match="freeze prefix"):
         model.set_freeze_prefix(prefix)
+
+
+def _array_bytes(entry):
+    """Total bytes of the arrays in a (nested tuple) tape entry."""
+    if isinstance(entry, np.ndarray):
+        return entry.nbytes
+    if isinstance(entry, tuple):
+        return sum(_array_bytes(e) for e in entry)
+    return 0
+
+
+def _same_entry(a, b):
+    """Equal caches: arrays of the same shape and bytes, other values equal."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if isinstance(a, tuple):
+        return (isinstance(b, tuple) and len(a) == len(b)
+                and all(map(_same_entry, a, b)))
+    return a == b
+
+
+# Pre-activation elements of one patch summed over the eight GeLU layers:
+# 2 x 20x44x44, 2 x 50x22x22, 2 x 50x11x11, 20x22x22 and 10x44x44.
+_GELU_ELEMENTS = 2 * 20 * 44 * 44 + 2 * 50 * 22 * 22 + 2 * 50 * 11 * 11 \
+    + 20 * 22 * 22 + 10 * 44 * 44
+
+
+@pytest.mark.parametrize("variant", ["se", "self_attention"])
+def test_tape_keeps_the_gelu_derivative_not_the_pre_activation(variant):
+    """A GeLU step's entry is its layer's cache plus the GeLU derivative.
+
+    A tape that also kept each pre-activation would hold 667,920 more
+    bytes per patch (21.4 MB at batch 32).
+    """
+    model = build_network(variant, Prng(46))
+    x = Prng(47).normal(size=(4, 1, 44, 44)).astype(np.float32)
+    tape = []
+    model._walk(x, tape)
+    assert len(tape) == len(model._steps)
+    expected = pre_activation = 0
+    for i, (step, entry) in enumerate(zip(model._steps, tape)):
+        if isinstance(step, tuple) and step[2]:
+            z, cache = step[1].forward_cache(model.forward(x, stop=i))
+            assert isinstance(entry, tuple) and len(entry) == 2, step[0]
+            assert _same_entry(entry[0], cache), step[0]
+            assert entry[1].shape == z.shape and entry[1].dtype == z.dtype
+            assert entry[1].tobytes() == gelu_grad(z).tobytes(), step[0]
+            expected += _array_bytes(cache) + z.nbytes
+            pre_activation += z.nbytes
+        else:
+            expected += _array_bytes(entry)
+    assert _array_bytes(tuple(tape)) == expected
+    assert pre_activation == 4 * 4 * _GELU_ELEMENTS == 4 * 667_920

@@ -94,9 +94,12 @@ def test_gelu_grad_matches_finite_difference():
 
 def test_gelu_cache_consistent_with_plain_forms():
     x = Prng(4).normal(size=(2, 7))
-    y, cdf = gelu_cache(x)
+    g = Prng(5).normal(size=(2, 7))
+    y, derivative = gelu_cache(x)
     np.testing.assert_allclose(y, gelu(x), rtol=0, atol=0)
-    np.testing.assert_allclose(gelu_grad_cached(x, cdf), gelu_grad(x), atol=0)
+    np.testing.assert_allclose(derivative, gelu_grad(x), rtol=0, atol=0)
+    np.testing.assert_allclose(gelu_grad_cached(g, derivative), g * gelu_grad(x),
+                               rtol=0, atol=0)
 
 
 # Reference erf forms: float64 GeLU must match them bit for bit, float32
@@ -121,9 +124,10 @@ def test_gelu_float64_is_bit_identical_to_erf_forms():
     y, cache = gelu_cache(x)
     assert _same_bits(gelu(x), 0.5 * x * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
     assert _same_bits(y, x * cdf)
-    assert _same_bits(cache, cdf)
+    assert _same_bits(cache, cdf + _erf_pdf_term(x))
     assert _same_bits(gelu_grad(x), cdf + _erf_pdf_term(x))
-    assert _same_bits(gelu_grad_cached(x, cache), cdf + _erf_pdf_term(x))
+    g = Prng(6).normal(size=x.shape)
+    assert _same_bits(gelu_grad_cached(g, cache), g * (cdf + _erf_pdf_term(x)))
 
 
 def test_gelu_float32_within_1e6_of_float64_erf_forms():
@@ -139,7 +143,7 @@ def test_gelu_float32_within_1e6_of_float64_erf_forms():
     assert np.abs(cache - grad).max() <= 1e-6
     assert _same_bits(gelu(x), y)
     assert _same_bits(gelu_grad(x), cache)
-    assert gelu_grad_cached(x, cache) is cache
+    assert _same_bits(gelu_grad_cached(x, cache), x * cache)
 
 
 def test_gelu_float32_edge_values_match_erf_forms():
@@ -168,7 +172,7 @@ def test_gelu_float32_emits_no_warning():
         y, cache = gelu_cache(x)
         gelu(x)
         gelu_grad(x)
-        gelu_grad_cached(x, cache)
+        gelu_grad_cached(np.ones_like(x), cache)
         numcore._gelu_f32(x, ("cdf",))
 
 

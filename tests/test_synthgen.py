@@ -47,6 +47,13 @@ def test_config_validation():
     SyntheticConfig().validate()
 
 
+@pytest.mark.parametrize("low", [0.0, -8.0])
+def test_config_rejects_a_fold_wavelength_that_is_not_positive(low):
+    # a zero wavelength divides the fold phase by zero and writes NaN patches
+    with pytest.raises(ConfigError, match="fold wavelength"):
+        SyntheticConfig(fold_wavelength=(low, 64.0)).validate()
+
+
 def test_reflectivity_columns_identical():
     cfg = SyntheticConfig(height=128, width=32)
     r = generate_reflectivity(cfg, Prng(2))

@@ -207,10 +207,11 @@ def test_finetune_freezes_stage1_and_updates_the_rest():
 def test_finetune_defaults_run_thirty_epochs_with_prefix_two():
     samples = _tiny_dataset(2)
     model = build_network("se", Prng(36))
-    before = model.conv11.weight.copy()
+    weight = model.named_parameters()["stage1.conv1.weight"]
+    before = weight.copy()
     _, stats = finetune(model, samples)
     assert len(stats) == 30
-    np.testing.assert_array_equal(model.conv11.weight, before)
+    np.testing.assert_array_equal(weight, before)
     assert stats[-1].loss < stats[0].loss
 
 
