@@ -54,8 +54,8 @@ def glorot_init(shape, prng, dtype=np.float32):
     return prng.uniform(-bound, bound, size=shape, dtype=dtype)
 
 
-def _pad_flat(x, kernel, padding):
-    """Zero-pad (B,C,H,W) once into a channel-major flat buffer.
+def _pad_flat(x, kernel):
+    """Zero-pad (B,C,H,W) by kernel // 2 once into a channel-major flat buffer.
 
     Returns xf of shape (C, B*Hp*Wp + (k-1)*(Wp+1)): the padded pixel
     (b, c, y, x) sits at xf[c, (b*Hp + y)*Wp + x], so kernel tap (i, j)
@@ -63,17 +63,19 @@ def _pad_flat(x, kernel, padding):
     i*Wp + j, and the zero tail keeps the last tap's slice in bounds.
     """
     b, c, h, w = x.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
+    p = kernel // 2
+    hp, wp = h + 2 * p, w + 2 * p
     n = b * hp * wp
     xf = np.zeros((c, n + (kernel - 1) * (wp + 1)), dtype=x.dtype)
     grid = xf[:, :n].reshape(c, b, hp, wp)
-    grid[:, :, padding:padding + h, padding:padding + w] = x.transpose(1, 0, 2, 3)
+    grid[:, :, p:p + h, p:p + w] = x.transpose(1, 0, 2, 3)
     return xf
 
 
-def _grid(x_shape, kernel, stride, padding):
-    """(Hp, Wp, Ho, Wo): padded input and output sizes of a convolution."""
-    hp, wp = x_shape[2] + 2 * padding, x_shape[3] + 2 * padding
+def _grid(x_shape, kernel, stride):
+    """(Hp, Wp, Ho, Wo): the input padded by kernel // 2, and the output."""
+    p = kernel // 2
+    hp, wp = x_shape[2] + 2 * p, x_shape[3] + 2 * p
     return hp, wp, (hp - kernel) // stride + 1, (wp - kernel) // stride + 1
 
 
@@ -82,14 +84,14 @@ def _valid(a, b, hp, wp, ho, wo):
     return a.reshape(a.shape[0], b, hp, wp)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
 
 
-def _im2col(xf, x_shape, kernel, stride, padding):
-    """Gather (C*k*k, B*Ho*Wo) columns from a flat buffer, plus Ho and Wo.
+def _im2col(xf, x_shape, kernel, stride):
+    """Gather (C*k*k, B*Ho*Wo) columns from a _pad_flat buffer, plus Ho and Wo.
 
     Row (c*k + i)*k + j, column (b*Ho + y)*Wo + x holds the padded input at
     (b, c, y*stride + i, x*stride + j); overhanging windows are dropped.
     """
     b, c = x_shape[:2]
-    hp, wp, ho, wo = _grid(x_shape, kernel, stride, padding)
+    hp, wp, ho, wo = _grid(x_shape, kernel, stride)
     s0, s1 = xf.strides
     view = as_strided(
         xf,
@@ -100,16 +102,17 @@ def _im2col(xf, x_shape, kernel, stride, padding):
     return view.reshape(c * kernel * kernel, b * ho * wo), ho, wo
 
 
-def _col2im(gcols, x_shape, kernel, stride, padding):
+def _col2im(gcols, x_shape, kernel, stride):
     """Adjoint of _im2col: scatter-add channel-major columns onto (B,C,H,W)."""
     b, c, h, w = x_shape
-    hp, wp, ho, wo = _grid(x_shape, kernel, stride, padding)
+    p = kernel // 2
+    hp, wp, ho, wo = _grid(x_shape, kernel, stride)
     g = gcols.reshape(c, kernel, kernel, b, ho, wo)
     gx = np.zeros((c, b, hp, wp), dtype=gcols.dtype)
     for i in range(kernel):
         for j in range(kernel):
             gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g[:, i, j]
-    gx = gx[:, :, padding:padding + h, padding:padding + w]
+    gx = gx[:, :, p:p + h, p:p + w]
     return np.ascontiguousarray(gx.transpose(1, 0, 2, 3))
 
 
@@ -172,9 +175,9 @@ class Conv2d:
             y = np.matmul(self.weight.reshape(self.out_ch, -1), cols)
             cache = (cols, x.shape)
         else:
-            xf = _pad_flat(x, k, k // 2)
+            xf = _pad_flat(x, k)
             if self.out_ch > self.in_ch:
-                cols = _im2col(xf, x.shape, k, 1, k // 2)[0]
+                cols = _im2col(xf, x.shape, k, 1)[0]
                 y = _per_patch(self.weight.reshape(self.out_ch, -1), cols, b)
             else:
                 y = self._tap_sum(xf, x.shape)
@@ -193,7 +196,7 @@ class Conv2d:
         padding rows, which hold no output.
         """
         b = x_shape[0]
-        hp, wp, ho, wo = _grid(x_shape, self.kernel, 1, self.kernel // 2)
+        hp, wp, ho, wo = _grid(x_shape, self.kernel, 1)
         grid = hp * wp
         per = max(1, min(b, _BLOCK_BYTES // (2 * self.out_ch * grid * xf.itemsize)))
         weights, offsets = self._taps(wp)
@@ -224,7 +227,7 @@ class Conv2d:
             return grad_x, grad_w.reshape(self.weight.shape), grad_b
         xf, x_shape = cache
         p = self.kernel // 2
-        hp, wp, ho, wo = _grid(x_shape, self.kernel, 1, p)
+        hp, wp, ho, wo = _grid(x_shape, self.kernel, 1)
         n = b * hp * wp
         # the output gradient on the padded grid, zero where no output is
         gf = np.zeros((self.out_ch, n), dtype=grad_out.dtype)
@@ -290,7 +293,12 @@ class Conv2d:
 
 
 class Dense:
-    """Fully connected layer: y = x W^T + b with weight shaped (out, in)."""
+    """Fully connected layer: y = x W^T + b with weight shaped (out, in).
+
+    Forward takes one product per row, so a row gets the same bits alone
+    as in any batch; one (B, in) x (in, out) GEMM rounds a row differently
+    depending on B, in both float32 and float64.
+    """
 
     def __init__(self, in_dim, out_dim, prng=None, dtype=np.float32):
         self.in_dim = int(in_dim)
@@ -306,7 +314,7 @@ class Dense:
             raise DimensionError(
                 "dense expects (B,%d), got %s" % (self.in_dim, (x.shape,))
             )
-        return x @ self.weight.T + self.bias
+        return np.matmul(x[:, None], self.weight.T)[:, 0] + self.bias
 
     def forward_cache(self, x):
         return self.forward(x), x
@@ -348,7 +356,7 @@ class TransposedConv2d:
             )
         b, _, h, w = x.shape
         stamps = self.weight.reshape(self.in_ch, -1).T @ _channel_major(x)
-        y = _col2im(stamps, (b, self.out_ch, 2 * h, 2 * w), 3, 2, 1)
+        y = _col2im(stamps, (b, self.out_ch, 2 * h, 2 * w), 3, 2)
         y += self.bias[:, None, None]
         return y
 
@@ -357,7 +365,7 @@ class TransposedConv2d:
 
     def backward(self, x, grad_out, input_grad=True):
         grad_b = grad_out.sum(axis=(0, 2, 3))
-        gcols = _im2col(_pad_flat(grad_out, 3, 1), grad_out.shape, 3, 2, 1)[0]
+        gcols = _im2col(_pad_flat(grad_out, 3), grad_out.shape, 3, 2)[0]
         wm = self.weight.reshape(self.in_ch, -1)
         grad_x = (_per_patch(wm, gcols, x.shape[0]).reshape(x.shape)
                   if input_grad else None)

@@ -15,9 +15,24 @@ Architecture for a (B,1,44,44) batch:
 Parameters are enumerated in a fixed order under dotted names
 ("stage1.conv1.weight", "attention.attn.wq", ...). That order also defines
 the checkpoint record order and the freeze-prefix layer list.
+
+Inference on a float32 batch runs patch-parallel: `HetNet.forward` cuts
+it into near-equal chunks of at most _CHUNK patches and walks them on a
+thread pool of one worker per OpenBLAS thread, with OpenBLAS held at one
+thread meanwhile. Every step gives a float32 patch the same bits alone as
+in any batch, and the float32 walk does not depend on the OpenBLAS thread
+count, so the logits equal those of one walk over the whole batch.
+Float64 models stay serial: their walk rounds by batch and by thread
+count. So does a model with a layer method replaced on the instance (a
+hook or a profiler's wrapper), which may not be safe to call from two
+threads. Training calls `HetNet.walk`, the serial walk, and so always
+runs on the calling thread.
 """
 
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +52,13 @@ from .layers import (
     maxpool2d,
     maxpool2d_backward,
 )
-from .numcore import gelu, gelu_cache, gelu_grad_cached
+from .numcore import (
+    blas_threads,
+    gelu,
+    gelu_cache,
+    gelu_grad_cached,
+    set_blas_threads,
+)
 
 PATCH = 44
 GRID = 11
@@ -73,6 +94,41 @@ class NetConfig:
     d_v: int = 32
 
 
+# Patches per chunk of a patch-parallel forward: small, so that each
+# worker's activations stay small and peak memory falls rather than rises.
+_CHUNK = 8
+
+# One fan-out at a time holds OpenBLAS at one thread and uses the pool,
+# {(process id, workers): executor}, which is read under this lock only.
+_FANOUT_LOCK = threading.Lock()
+_pool = {}
+
+
+def _executor(workers):
+    """This process's pool of `workers` threads, built on first use.
+
+    Keyed by process id, so that a forked child builds its own pool
+    instead of waiting on threads it does not have. A pool of this
+    process that a new worker count replaces is shut down; a parent's
+    pool, whose threads a child does not have, is only dropped.
+    """
+    key = (os.getpid(), workers)
+    if key not in _pool:
+        for (pid, _), old in _pool.items():
+            if pid == key[0]:
+                old.shutdown(wait=False)
+        _pool.clear()
+        _pool[key] = ThreadPoolExecutor(workers, "seishet-forward")
+    return _pool[key]
+
+
+def _hooked(layer):
+    """Whether a method of layer, or of a sub-layer it holds, is set on
+    the instance: layers keep only arrays, numbers and sub-layers there."""
+    return any(callable(v) or (hasattr(v, "params") and _hooked(v))
+               for v in vars(layer).values())
+
+
 # The parameter-free steps: 2x2 max pooling, and the stage-3 concat skip,
 # which puts the map entering _SKIP in front of the map reaching _CONCAT.
 _POOL = "pool"
@@ -85,10 +141,12 @@ class HetNet:
 
     The network is one ordered step list: the ten named layers, each with
     a flag for the GeLU that follows it, the max-pool steps and the concat
-    skip. `forward` walks it keeping nothing; `loss_and_grads` walks it
-    keeping each step's cache on a tape, then walks the tape backwards.
-    Both can start at a later step from the activation that enters it,
-    such as the frozen-prefix features `frozen_steps` marks.
+    skip. `walk` runs it on the calling thread, keeping nothing or each
+    step's cache on a tape; `forward` runs it patch-parallel for a float32
+    batch of more than _CHUNK patches; `loss_and_grads` walks with a tape,
+    then walks the tape backwards. All can start at a later step from the
+    activation that enters it, such as the frozen-prefix features
+    `frozen_steps` marks.
     """
 
     def __init__(self, variant, prng=None, config=None, dtype=np.float32):
@@ -170,11 +228,14 @@ class HetNet:
             )
         return x
 
-    def _walk(self, x, tape=None, start=0, stop=None):
+    def walk(self, x, tape=None, start=0, stop=None):
         """Run steps start..stop-1 on x; with a tape, append one cache per step.
 
         x is the activation entering step `start`, checked as network input
-        when that is the first step. Without a tape no cache is kept.
+        when that is the first step. Without a tape no cache is kept. This
+        is the serial walk: it runs on the calling thread at the OpenBLAS
+        thread count in effect. Training and `train()`'s cached features and
+        evaluation call it, so that they never fan out.
         """
         if start == 0:
             x = self._checked(x)
@@ -203,8 +264,34 @@ class HetNet:
         """Steps start..stop-1 on x, the activation entering step `start`.
 
         By default: logits (B,2,44,44) for a batch of normalized patches.
+        A float32 batch of more than _CHUNK patches is walked in the fewest
+        near-equal chunks of at most _CHUNK by min(OpenBLAS threads, usable
+        CPUs) workers, with OpenBLAS held at one thread until they finish.
+        That count is process-wide: while a fan-out runs, a `walk` or
+        `loss_and_grads` on another thread also gets one OpenBLAS thread,
+        and its float32 gradients and float64 results may then differ in
+        the last bits. With one worker, or with a layer method replaced on
+        the instance, it is one `walk` on the calling thread.
         """
-        return self._walk(x, start=start, stop=stop)
+        if start == 0:
+            x = self._checked(x)
+        if (self.dtype == np.float32 and len(x) > _CHUNK
+                and not any(_hooked(layer) for _, layer in self._layers)):
+            with _FANOUT_LOCK:
+                threads = blas_threads()
+                workers = min(threads, len(os.sched_getaffinity(0)))
+                if workers > 1:
+                    set_blas_threads(1)
+                    try:
+                        pool = _executor(workers)
+                        chunks = np.array_split(x, -(-len(x) // _CHUNK))
+                        parts = [pool.submit(self.walk, chunk, start=start,
+                                             stop=stop) for chunk in chunks]
+                        wait(parts)
+                        return np.concatenate([p.result() for p in parts])
+                    finally:
+                        set_blas_threads(threads)
+        return self.walk(x, start=start, stop=stop)
 
     def loss_and_grads(self, x, target, pos_weight=None, start=0):
         """One training step's forward+backward from step `start` on.
@@ -215,7 +302,7 @@ class HetNet:
         walk passed, and only those, to its gradient.
         """
         tape = []
-        logits = self._walk(x, tape, start)
+        logits = self.walk(x, tape, start)
         loss, g = cross_entropy_2class(logits, target, pos_weight)
         grads = {}
         for i in reversed(range(start, len(self._steps))):

@@ -13,8 +13,14 @@ streams are derived by mixing (seed, index) through SplitMix64, using the
 constants 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB.
 The same seed yields the same scalar stream on every platform numpy
 supports.
+
+``blas_threads`` and ``set_blas_threads`` read and set the thread count
+of the OpenBLAS that numpy bundles, through ctypes on its
+``scipy_openblas_{get,set}_num_threads64_``. The count is process-wide.
 """
 
+import ctypes
+import functools
 import math
 
 import numpy as np
@@ -86,10 +92,10 @@ _GELU_BLOCK = 32768
 
 
 def _gelu_f32(x, outputs):
-    """Float32 Phi(x), x*Phi(x) and Phi(x) + x*phi(x) from numpy ufuncs.
+    """Float32 gelu x*Phi(x) and its derivative Phi(x) + x*phi(x) from ufuncs.
 
-    `outputs` names the arrays to return, in order, from "cdf", "value"
-    and "grad". The input is processed in blocks of _GELU_BLOCK elements
+    `outputs` names the arrays to return, in order, from "value" and
+    "grad". The input is processed in blocks of _GELU_BLOCK elements
     through block-sized scratch buffers, so no full-size temporary is made;
     every step is elementwise, so an element's bits do not depend on its
     block. Overflow of x*x (|x| > 1.8e19) gives exp(-inf) = 0 as intended,
@@ -100,7 +106,7 @@ def _gelu_f32(x, outputs):
     flat = np.ascontiguousarray(x).reshape(-1)
     n = flat.size
     out = {name: np.empty(n, np.float32) for name in outputs}
-    cdf_out, value_out, grad_out = (out.get(k) for k in ("cdf", "value", "grad"))
+    value_out, grad_out = out.get("value"), out.get("grad")
     m = min(n, _GELU_BLOCK)
     e, t, cdf = (np.empty(m, np.float32) for _ in range(3))
     sign = np.empty(m, np.uint32)
@@ -125,8 +131,6 @@ def _gelu_f32(x, outputs):
             np.bitwise_and(xb.view(np.uint32), _SIGN32, out=sb)
             np.bitwise_or(cb.view(np.uint32), sb, out=cb.view(np.uint32))
             cb += 0.5                         # Phi(x)
-            if cdf_out is not None:
-                cdf_out[lo:hi] = cb
             if value_out is not None:
                 np.multiply(xb, cb, out=value_out[lo:hi])
             if grad_out is not None:
@@ -171,6 +175,34 @@ def gelu_cache(x):
 def gelu_grad_cached(grad_out, derivative):
     """GeLU backward: grad_out times the derivative gelu_cache returned."""
     return grad_out * derivative
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """numpy's OpenBLAS (get, set) thread-count functions, or (None, None)."""
+    try:
+        from numpy._core import _multiarray_umath as core
+        lib = ctypes.CDLL(core.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None, None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def blas_threads():
+    """Threads numpy's OpenBLAS runs a product on; 1 when it is not found."""
+    get = _openblas_thread_calls()[0]
+    return get() if get else 1
+
+
+def set_blas_threads(count):
+    """Set numpy's OpenBLAS thread count, for every thread of the process."""
+    put = _openblas_thread_calls()[1]
+    if put:
+        put(int(count))
 
 
 def sigmoid(x):

@@ -1,16 +1,24 @@
 """Adam optimizer and the base/fine-tune training loop.
 
-Training is fully deterministic given seeds: the epoch shuffle for epoch e
-comes from Prng(shuffle_seed).derive(e), batches walk the permutation in
-order, and each gradient reduction runs in an order fixed by batch shape.
+Training is fully deterministic given seeds and the OpenBLAS thread
+count: the epoch shuffle for epoch e comes from
+Prng(shuffle_seed).derive(e), batches walk the permutation in order, and
+each gradient reduction runs in an order fixed by batch shape and by
+that thread count (float32 gradients differ between one and two threads).
 Frozen parameters are skipped entirely by the optimizer, moments included.
 
 The leading steps a freeze prefix leaves without a trainable parameter
 map every patch to the same features in every epoch, so train() runs
 them once per call and starts each step and each evaluation from those
-features. A patch gets the same bits alone as in any batch, so the
-checkpoint and epoch log equal those of running the whole network per
-step.
+features. In float32 every step gives a patch the same bits alone as in
+any batch, so the checkpoint and epoch log equal those of running the
+whole network per step. In float64 the transposed convolutions round a
+patch by its batch, so there this holds only while up1 is trainable
+(freeze prefix 7 or less).
+
+Training stays on the calling thread: the cached features and each
+evaluation call `HetNet.walk`, the serial walk, not the patch-parallel
+forward.
 """
 
 from dataclasses import dataclass, field
@@ -124,7 +132,7 @@ def evaluate_batched(model, x, y, batch_size=64, start=0):
     """
     counts = ConfusionCounts()
     for i in range(0, x.shape[0], batch_size):
-        prob = channel_softmax(model.forward(x[i:i + batch_size], start=start))
+        prob = channel_softmax(model.walk(x[i:i + batch_size], start=start))
         pred = (prob[:, 1] >= 0.5).astype(np.uint8)
         counts = counts + confusion_counts(pred, y[i:i + batch_size])
     return report_from_counts(counts)
@@ -139,11 +147,11 @@ def _frozen_features(model, samples, stop, batch_size):
     x, y = stack_samples(samples)
     if not stop:
         return x, y
-    first = model.forward(x[:batch_size], stop=stop)
+    first = model.walk(x[:batch_size], stop=stop)
     out = np.empty((x.shape[0],) + first.shape[1:], dtype=first.dtype)
     out[:batch_size] = first
     for i in range(batch_size, x.shape[0], batch_size):
-        out[i:i + batch_size] = model.forward(x[i:i + batch_size], stop=stop)
+        out[i:i + batch_size] = model.walk(x[i:i + batch_size], stop=stop)
     return out, y
 
 

@@ -1,13 +1,15 @@
 """Shared fixture builders and reference oracles for the test suite."""
 
 import math
+import os
 import struct
 
 import numpy as np
+import pytest
 
 from seishet.attention import relative_logits
 from seishet.errors import DimensionError, EvaluationError
-from seishet.numcore import Prng, softmax_lastdim
+from seishet.numcore import Prng, blas_threads, set_blas_threads, softmax_lastdim
 from seishet.train import (
     AdamState,
     EpochStats,
@@ -15,6 +17,19 @@ from seishet.train import (
     evaluate_batched,
     stack_samples,
 )
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's OpenBLAS at two threads for the test, so forward fans out."""
+    before = blas_threads()
+    set_blas_threads(2)
+    try:
+        if blas_threads() != 2 or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs numpy's bundled OpenBLAS and two CPUs")
+        yield
+    finally:
+        set_blas_threads(before)
 
 
 def ieee_to_ibm_word(value):

@@ -139,7 +139,7 @@ def test_conv_input_grad_equals_column_form_bit_for_bit(in_ch, out_ch, size, dty
     g = p.normal(size=(8, out_ch, size, size)).astype(dtype)
     gx, _, _ = layer.backward(layer.forward_cache(x)[1], g)
     gcols = layer.weight.reshape(out_ch, -1).T @ _channel_major(g)
-    assert gx.tobytes() == _col2im(gcols, x.shape, 3, 1, 1).tobytes()
+    assert gx.tobytes() == _col2im(gcols, x.shape, 3, 1).tobytes()
 
 
 def _conv_backward_loop_oracle(x, weight, g, stride, padding):
@@ -230,6 +230,18 @@ def test_conv_backward_matches_finite_difference():
         lambda v: float((layer.forward(v) * proj).sum()), x)) < 1e-6
     assert relative_error(gw, finite_difference_grad(loss_wrt("weight"), layer.weight)) < 1e-6
     assert relative_error(gb, finite_difference_grad(loss_wrt("bias"), layer.bias)) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dense_gives_a_row_the_same_bits_in_any_batch(dtype):
+    p = Prng(13)
+    layer = Dense(100, 25, p, dtype)
+    layer.bias = p.normal(size=25).astype(dtype)
+    x = p.normal(size=(77, 100)).astype(dtype)
+    whole = layer.forward(x)
+    for size in (1, 5, 8, 13):
+        parts = [layer.forward(x[i:i + size]) for i in range(0, len(x), size)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes(), size
 
 
 def test_dense_forward_formula_and_gradients():

@@ -1,6 +1,11 @@
 """Network assembly, parameter accounting, and checkpoint format checks."""
 
+import hashlib
+import os
+import select
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,8 +18,12 @@ from seishet.errors import (
     FormatError,
     IntegrityError,
 )
+from seishet import model as model_module
 from seishet.layers import Dense, cross_entropy_2class
 from seishet.model import (
+    _CONCAT,
+    _FANOUT_LOCK,
+    _SKIP,
     CHECKPOINT_MAGIC,
     GRID,
     NetConfig,
@@ -26,7 +35,7 @@ from seishet.model import (
     parameter_table,
     save_checkpoint,
 )
-from seishet.numcore import Prng, gelu_grad
+from seishet.numcore import Prng, blas_threads, gelu_grad, set_blas_threads
 
 
 def _conv_params(in_ch, out_ch, k):
@@ -510,7 +519,7 @@ def test_tape_keeps_the_gelu_derivative_not_the_pre_activation(variant):
     model = build_network(variant, Prng(46))
     x = Prng(47).normal(size=(4, 1, 44, 44)).astype(np.float32)
     tape = []
-    model._walk(x, tape)
+    model.walk(x, tape)
     assert len(tape) == len(model._steps)
     expected = pre_activation = 0
     for i, (step, entry) in enumerate(zip(model._steps, tape)):
@@ -526,3 +535,194 @@ def test_tape_keeps_the_gelu_derivative_not_the_pre_activation(variant):
             expected += _array_bytes(entry)
     assert _array_bytes(tuple(tape)) == expected
     assert pre_activation == 4 * 4 * _GELU_ELEMENTS == 4 * 667_920
+
+
+# ---------------------------------------------------- patch-parallel forward
+
+def _segments(model):
+    """(start, stop) of every step, with the stage-3 skip, conv and concat
+    as one segment: a walk cannot stop between the skip and its concat."""
+    skip, concat = model._steps.index(_SKIP), model._steps.index(_CONCAT)
+    bounds = [i for i in range(len(model._steps) + 1) if not skip < i <= concat]
+    return list(zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("variant", ["se", "self_attention"])
+def test_every_step_gives_a_float32_patch_the_same_bits_in_any_batch(variant):
+    model = build_network(variant, Prng(48))
+    x = Prng(49).normal(size=(77, 1, 44, 44)).astype(np.float32)
+    for start, stop in _segments(model):
+        whole = model.walk(x, start=start, stop=stop)
+        for size in (1, 5, 8, 13):
+            parts = [model.walk(x[i:i + size], start=start, stop=stop)
+                     for i in range(0, len(x), size)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes(), \
+                (model._steps[start], size)
+        x = whole
+
+
+def _spy_on_walks(model):
+    """Record (rows, thread name) of every walk call; returns the list."""
+    calls, walk = [], model.walk
+
+    def spy(x, *args, **kwargs):
+        calls.append((len(x), threading.current_thread().name))
+        return walk(x, *args, **kwargs)
+
+    model.walk = spy
+    return calls
+
+
+def _chunks(n):
+    """Rows of each walk that forward(n patches) makes: the fewest chunks
+    of at most 8, sizes differing by at most one, larger ones first."""
+    count = -(-n // 8)
+    return [n // count + (i < n % count) for i in range(count)]
+
+
+@pytest.mark.parametrize("variant", ["se", "self_attention"])
+def test_fanned_out_forward_equals_the_serial_walk(variant, two_blas_threads):
+    model = build_network(variant, Prng(50))
+    serial = model.walk
+    calls = _spy_on_walks(model)
+    x = Prng(51).normal(size=(77, 1, 44, 44)).astype(np.float32)
+    for n in (1, 2, 7, 13, 64, 77):
+        calls.clear()
+        assert model.forward(x[:n]).tobytes() == serial(x[:n]).tobytes(), n
+        assert [rows for rows, _ in calls] == _chunks(n)
+        workers = {name.startswith("seishet-forward") for _, name in calls}
+        assert workers == {n > 8}
+    for start, stop in ((0, 6), (3, 11), (11, None)):
+        features = serial(x, stop=start)
+        calls.clear()
+        got = model.forward(features, start=start, stop=stop)
+        assert got.tobytes() == serial(features, start=start, stop=stop).tobytes()
+        assert [rows for rows, _ in calls] == _chunks(77)
+    assert blas_threads() == 2
+
+
+def test_one_blas_thread_walks_on_the_calling_thread(two_blas_threads):
+    model = build_network("self_attention", Prng(52))
+    calls = _spy_on_walks(model)
+    x = Prng(53).normal(size=(20, 1, 44, 44)).astype(np.float32)
+    set_blas_threads(1)
+    model.forward(x)
+    assert calls == [(20, threading.current_thread().name)]
+
+
+def test_float64_forward_walks_on_the_calling_thread(two_blas_threads):
+    model = build_network("se", Prng(54), dtype=np.float64)
+    calls = _spy_on_walks(model)
+    model.forward(Prng(55).normal(size=(20, 1, 44, 44)))
+    assert calls == [(20, threading.current_thread().name)]
+
+
+@pytest.mark.parametrize("variant,path", [("self_attention", ("up1",)),
+                                          ("se", ("attention", "fc1"))])
+def test_a_replaced_layer_method_walks_on_the_calling_thread(
+        variant, path, two_blas_threads):
+    """A wrapper set on a layer or on a sub-layer it holds (a hook, a
+    profiler) may not be thread-safe, so forward runs it on one thread."""
+    model = build_network(variant, Prng(63))
+    x = Prng(64).normal(size=(20, 1, 44, 44)).astype(np.float32)
+    want = model.walk(x).tobytes()
+    layer = dict(model._layers)[path[0]]
+    for name in path[1:]:
+        layer = getattr(layer, name)
+    seen, method = [], layer.forward
+
+    def wrapper(*args, **kwargs):
+        seen.append(threading.current_thread().name)
+        return method(*args, **kwargs)
+
+    layer.forward = wrapper
+    calls = _spy_on_walks(model)
+    assert model.forward(x).tobytes() == want
+    caller = threading.current_thread().name
+    assert calls == [(20, caller)] and seen == [caller]
+    del layer.forward
+    calls.clear()
+    model.forward(x)
+    assert [rows for rows, _ in calls] == _chunks(20)
+
+
+def test_a_new_worker_count_shuts_the_old_pool_down():
+    with _FANOUT_LOCK:
+        old = model_module._executor(2)
+        new = model_module._executor(3)
+        assert model_module._executor(3) is new
+        with pytest.raises(RuntimeError):
+            old.submit(int)
+        model_module._executor(2)
+        with pytest.raises(RuntimeError):
+            new.submit(int)
+
+
+def test_forward_restores_the_blas_thread_count(two_blas_threads):
+    model = build_network("se", Prng(56))
+    x = Prng(57).normal(size=(20, 1, 44, 44)).astype(np.float32)
+    model.forward(x)
+    assert blas_threads() == 2
+    with pytest.raises(DimensionError):
+        model.forward(x[:, :, :40])
+    assert blas_threads() == 2
+    # a wrong channel count met by stage2.conv1 in the workers
+    with pytest.raises(DimensionError, match="conv expects"):
+        model.forward(np.zeros((20, 3, 22, 22), np.float32), start=3)
+    assert blas_threads() == 2
+
+
+def test_concurrent_forward_calls_get_the_serial_bytes(two_blas_threads):
+    """More calling threads than CPUs, switching often: each call still
+    gets the serial walk's bytes and the thread count comes back."""
+    model = build_network("self_attention", Prng(58))
+    batches = [Prng(59 + i).normal(size=(12 + i, 1, 44, 44)).astype(np.float32)
+               for i in range(4)]
+    want = [model.walk(b).tobytes() for b in batches]
+    got = [[] for _ in batches]
+    barrier = threading.Barrier(len(batches))
+
+    def run(i):
+        barrier.wait()
+        for _ in range(2):
+            got[i].append(model.forward(batches[i]).tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(len(batches))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w, w] for w in want]
+    assert blas_threads() == 2
+
+
+def test_forked_child_builds_its_own_pool(two_blas_threads):
+    """A child forked after the parent's pool exists still fans out."""
+    model = build_network("self_attention", Prng(61))
+    x = Prng(62).normal(size=(20, 1, 44, 44)).astype(np.float32)
+    want = hashlib.sha256(model.forward(x).tobytes()).hexdigest().encode()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.write(write_end, hashlib.sha256(model.forward(x).tobytes())
+                     .hexdigest().encode())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    try:
+        ready, _, _ = select.select([read_end], [], [], 120.0)
+        got = os.read(read_end, 64) if ready else b"timed out"
+    finally:
+        os.close(read_end)
+        if not ready:
+            os.kill(pid, 9)
+        os.waitpid(pid, 0)
+    assert got == want

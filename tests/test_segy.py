@@ -20,7 +20,7 @@ from seishet.errors import (
     SeishetError,
 )
 from seishet.model import build_network, channel_softmax
-from seishet.numcore import Prng
+from seishet.numcore import Prng, set_blas_threads
 from seishet.pgm import read_pgm, write_pgm
 from seishet.segy import (
     bilinear_resize,
@@ -661,6 +661,26 @@ def test_tile_predict_batch_size_does_not_change_result():
     one = tile_predict(model, section, batch_size=1)
     many = tile_predict(model, section, batch_size=64)
     assert np.allclose(one, many, atol=1e-6)
+
+
+def test_tile_predict_calls_forward_once_per_batch(two_blas_threads):
+    """Each batch is one model.forward call, fanned out or not, and each
+    window passes through forward once; the map has the serial bytes."""
+    model = build_network("self_attention", Prng(24))
+    section = Prng(17).uniform(-1.0, 1.0, (60, 70))
+    rows, forward = [], model.forward
+
+    def counting(x):
+        rows.append(len(x))
+        return forward(x)
+
+    model.forward = counting
+    fanned = tile_predict(model, section, batch_size=16)
+    assert rows == [16, 14]
+    set_blas_threads(1)
+    serial = tile_predict(model, section, batch_size=16)
+    assert rows == [16, 14, 16, 14]
+    assert fanned.tobytes() == serial.tobytes()
 
 
 def test_tile_predict_rejects_small_section():

@@ -288,3 +288,20 @@ def test_cached_frozen_features_train_like_the_full_network(variant, prefix,
         want = _fit_bytes(reference_train, variant, prefix, heldout, tmp_path)
         assert got[0] == want[0]
         assert got[1] == want[1]
+
+
+def test_cached_features_through_the_se_block_train_like_the_full_network(
+        tmp_path):
+    """Freeze prefix 7 caches features through the SE block; 100 patches at
+    batch 64 meet its Dense layers in other batches when cached than in a
+    full-network step."""
+    samples = generate_dataset(SyntheticConfig(sections=7, seed=0))[:100]
+    got = []
+    for fit in (train, reference_train):
+        model = build_network("se", Prng(42))
+        config = TrainConfig(epochs=1, batch_size=64, shuffle_seed=6,
+                             freeze_prefix=7)
+        _, stats = fit(model, samples, config)
+        save_checkpoint(model, str(tmp_path / "fit.ckpt"))
+        got.append(((tmp_path / "fit.ckpt").read_bytes(), stats))
+    assert got[0] == got[1]
