@@ -418,24 +418,48 @@ def maxpool2d_backward(grad_out, idx):
     return gx
 
 
-def cross_entropy_2class(logits, target, pos_weight=None):
-    """Mean softmax cross-entropy over two channels.
+def _check_target(logits_shape, target):
+    """Raise unless target is a 0/1 (B,H,W) map for (B,2,H,W) logits."""
+    if len(logits_shape) != 4 or logits_shape[1] != 2:
+        raise DimensionError("loss expects logits (B,2,H,W), got %s"
+                             % (tuple(logits_shape),))
+    b, _, h, w = logits_shape
+    if target.shape != (b, h, w):
+        raise DimensionError("target shape %s does not match logits %s"
+                             % (target.shape, tuple(logits_shape)))
+    if not (np.equal(target, 0) | np.equal(target, 1)).all():
+        raise LabelError("target labels must be 0 or 1")
+
+
+def loss_normalizer(logits_shape, target, pos_weight=None):
+    """Check target against logits of logits_shape; the divisor of their loss.
+
+    That is B*H*W, so the loss is a mean over pixels, or with pos_weight
+    the total pixel weight, so it is a weighted mean.
+    """
+    target = np.asarray(target)
+    _check_target(logits_shape, target)
+    if pos_weight is None:
+        return target.size
+    return np.where(target == 1, float(pos_weight), 1.0).sum()
+
+
+def cross_entropy_2class(logits, target, pos_weight=None, norm=None):
+    """Softmax cross-entropy over two channels, summed and divided by norm.
 
     Returns (loss, grad wrt logits). ``pos_weight`` optionally scales the
-    contribution of class-1 pixels; the loss is then a weighted mean so its
-    scale stays comparable to the unweighted case.
+    contribution of class-1 pixels. ``norm`` defaults to this batch's
+    `loss_normalizer`, which makes the loss a (weighted) mean whose scale
+    stays comparable to the unweighted case; a part of a batch passes the
+    whole batch's, so that the parts' losses and gradients add up to the
+    whole batch's.
     """
     logits = np.asarray(logits)
     target = np.asarray(target)
-    if logits.ndim != 4 or logits.shape[1] != 2:
-        raise DimensionError("loss expects logits (B,2,H,W), got %s" % (logits.shape,))
-    b, _, h, w = logits.shape
-    if target.shape != (b, h, w):
-        raise DimensionError(
-            "target shape %s does not match logits %s" % (target.shape, logits.shape)
-        )
-    if not (np.equal(target, 0) | np.equal(target, 1)).all():
-        raise LabelError("target labels must be 0 or 1")
+    if norm is None:
+        norm = loss_normalizer(logits.shape, target, pos_weight)
+    else:
+        _check_target(logits.shape, target)
     t = target.astype(np.int64)[:, None]
     m = logits.max(axis=1, keepdims=True)
     z = logits - m
@@ -446,11 +470,10 @@ def cross_entropy_2class(logits, target, pos_weight=None):
     picked = np.take_along_axis(grad, t, axis=1)
     np.put_along_axis(grad, t, picked - 1.0, axis=1)
     if pos_weight is None:
-        loss = float(nll.mean())
-        grad /= b * h * w
+        loss = float(nll.sum() / norm)
+        grad /= norm
     else:
         wmap = np.where(target == 1, float(pos_weight), 1.0)
-        total = wmap.sum()
-        loss = float((nll * wmap).sum() / total)
-        grad *= (wmap / total)[:, None]
+        loss = float((nll * wmap).sum() / norm)
+        grad *= (wmap / norm)[:, None]
     return loss, grad

@@ -16,19 +16,25 @@ Parameters are enumerated in a fixed order under dotted names
 ("stage1.conv1.weight", "attention.attn.wq", ...). That order also defines
 the checkpoint record order and the freeze-prefix layer list.
 
-Inference on a float32 batch runs patch-parallel: `HetNet.forward` cuts
-it into near-equal chunks of at most _CHUNK patches and walks them on a
+A float32 batch runs patch-parallel, in inference and in training, on a
 thread pool of one worker per OpenBLAS thread, with OpenBLAS held at one
-thread meanwhile. Every step gives a float32 patch the same bits alone as
-in any batch, and the float32 walk does not depend on the OpenBLAS thread
-count, so the logits equal those of one walk over the whole batch.
-Float64 models stay serial: their walk rounds by batch and by thread
-count. So does a model with a layer method replaced on the instance (a
-hook or a profiler's wrapper), which may not be safe to call from two
-threads. Training calls `HetNet.walk`, the serial walk, and so always
-runs on the calling thread.
+thread meanwhile. `HetNet.forward` cuts it into near-equal chunks of at
+most _CHUNK patches. Every step gives a float32 patch the same bits alone
+as in any batch, and the float32 walk does not depend on the OpenBLAS
+thread count, so the logits equal those of one walk over the whole batch.
+`HetNet.loss_and_grads` cuts it into fixed chunks of _CHUNK patches, walks
+each forward and back at one OpenBLAS thread and sums the gradients in
+chunk order, so a training step, and with it a checkpoint, is the same on
+one or two OpenBLAS threads and with or without the pool. Float64 models
+stay serial: their walk rounds by batch and by thread count. A model with
+a layer method replaced on the instance (a hook or a profiler's wrapper),
+which may not be safe to call from two threads, runs on the calling
+thread: inference as one walk, training as the same chunks at one
+OpenBLAS thread. `train()`'s cached features and per-epoch evaluation
+call `HetNet.walk`, the serial walk, on the calling thread.
 """
 
+import contextvars
 import os
 import struct
 import threading
@@ -49,6 +55,7 @@ from .layers import (
     Conv2d,
     TransposedConv2d,
     cross_entropy_2class,
+    loss_normalizer,
     maxpool2d,
     maxpool2d_backward,
 )
@@ -94,8 +101,9 @@ class NetConfig:
     d_v: int = 32
 
 
-# Patches per chunk of a patch-parallel forward: small, so that each
-# worker's activations stay small and peak memory falls rather than rises.
+# Patches per chunk of a patch-parallel forward or training step: small, so
+# that each worker's activations and tape stay small and peak memory falls
+# rather than rises.
 _CHUNK = 8
 
 # One fan-out at a time holds OpenBLAS at one thread and uses the pool,
@@ -142,9 +150,10 @@ class HetNet:
     The network is one ordered step list: the ten named layers, each with
     a flag for the GeLU that follows it, the max-pool steps and the concat
     skip. `walk` runs it on the calling thread, keeping nothing or each
-    step's cache on a tape; `forward` runs it patch-parallel for a float32
-    batch of more than _CHUNK patches; `loss_and_grads` walks with a tape,
-    then walks the tape backwards. All can start at a later step from the
+    step's cache on a tape, and `backward` walks such a tape backwards;
+    `forward` runs it patch-parallel for a float32 batch of more than
+    _CHUNK patches; `loss_and_grads` walks with a tape and back, chunk by
+    chunk for a float32 batch. All can start at a later step from the
     activation that enters it, such as the frozen-prefix features
     `frozen_steps` marks.
     """
@@ -234,8 +243,8 @@ class HetNet:
         x is the activation entering step `start`, checked as network input
         when that is the first step. Without a tape no cache is kept. This
         is the serial walk: it runs on the calling thread at the OpenBLAS
-        thread count in effect. Training and `train()`'s cached features and
-        evaluation call it, so that they never fan out.
+        thread count in effect. `train()`'s cached features and evaluation
+        call it, so that they never fan out.
         """
         if start == 0:
             x = self._checked(x)
@@ -260,6 +269,38 @@ class HetNet:
                 tape.append(cache)
         return x
 
+    def _in_chunks(self, task, chunks, whole=None):
+        """[task(*args) for args in chunks] at one OpenBLAS thread, in order.
+
+        The chunks run on this process's pool of min(OpenBLAS threads,
+        usable CPUs) workers. With one worker, or with a layer method
+        replaced on the instance (a hook or a profiler's wrapper, which need
+        not be thread-safe), they run on the calling thread instead; there,
+        when `whole` is given, the result is [whole()] at the thread count
+        in effect. One lock lets one caller hold OpenBLAS at one thread at a
+        time; the count is restored afterwards, also when a chunk raises.
+        Workers run under the caller's `np.errstate`.
+        """
+        hooked = any(_hooked(layer) for _, layer in self._layers)
+        with _FANOUT_LOCK:
+            threads = blas_threads()
+            workers = 1 if hooked else min(threads,
+                                           len(os.sched_getaffinity(0)))
+            if workers > 1 or whole is None:
+                set_blas_threads(1)
+                try:
+                    if workers == 1:
+                        return [task(*args) for args in chunks]
+                    pool = _executor(workers)
+                    # a copy of the caller's context carries its np.errstate
+                    parts = [pool.submit(contextvars.copy_context().run, task,
+                                         *args) for args in chunks]
+                    wait(parts)
+                    return [p.result() for p in parts]
+                finally:
+                    set_blas_threads(threads)
+        return [whole()]
+
     def forward(self, x, start=0, stop=None):
         """Steps start..stop-1 on x, the activation entering step `start`.
 
@@ -267,31 +308,22 @@ class HetNet:
         A float32 batch of more than _CHUNK patches is walked in the fewest
         near-equal chunks of at most _CHUNK by min(OpenBLAS threads, usable
         CPUs) workers, with OpenBLAS held at one thread until they finish.
-        That count is process-wide: while a fan-out runs, a `walk` or
-        `loss_and_grads` on another thread also gets one OpenBLAS thread,
-        and its float32 gradients and float64 results may then differ in
-        the last bits. With one worker, or with a layer method replaced on
-        the instance, it is one `walk` on the calling thread.
+        That count is process-wide: while a fan-out runs, a float64 `walk`
+        or `loss_and_grads` on another thread also gets one OpenBLAS thread,
+        and its results may then differ in the last bits. Float32 training
+        always runs at one thread, so it is not affected. With one worker,
+        or with a layer method replaced on the instance, it is one `walk` on
+        the calling thread.
         """
         if start == 0:
             x = self._checked(x)
-        if (self.dtype == np.float32 and len(x) > _CHUNK
-                and not any(_hooked(layer) for _, layer in self._layers)):
-            with _FANOUT_LOCK:
-                threads = blas_threads()
-                workers = min(threads, len(os.sched_getaffinity(0)))
-                if workers > 1:
-                    set_blas_threads(1)
-                    try:
-                        pool = _executor(workers)
-                        chunks = np.array_split(x, -(-len(x) // _CHUNK))
-                        parts = [pool.submit(self.walk, chunk, start=start,
-                                             stop=stop) for chunk in chunks]
-                        wait(parts)
-                        return np.concatenate([p.result() for p in parts])
-                    finally:
-                        set_blas_threads(threads)
-        return self.walk(x, start=start, stop=stop)
+        if self.dtype != np.float32 or len(x) <= _CHUNK:
+            return self.walk(x, start=start, stop=stop)
+        chunks = [(chunk, None, start, stop)
+                  for chunk in np.array_split(x, -(-len(x) // _CHUNK))]
+        parts = self._in_chunks(self.walk, chunks,
+                                lambda: self.walk(x, start=start, stop=stop))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def loss_and_grads(self, x, target, pos_weight=None, start=0):
         """One training step's forward+backward from step `start` on.
@@ -300,13 +332,54 @@ class HetNet:
         default, or features cached up to `frozen_steps()`. Returns (loss,
         logits, grads) where grads maps the name of every parameter the
         walk passed, and only those, to its gradient.
+
+        A float32 batch is cut into consecutive chunks of _CHUNK patches
+        (the last may be smaller), whatever the worker count. Each chunk is
+        walked, scored against the whole batch's loss normalizer and walked
+        back at one OpenBLAS thread, on `forward`'s pool or on the calling
+        thread (see `_in_chunks`), and its tape is freed when its backward
+        walk ends. Losses and gradients are summed in chunk order, so the
+        result depends on neither the thread count nor the pool. A float64
+        batch is walked whole at the thread count in effect.
         """
+        if start == 0:
+            x = self._checked(x)
+        target = np.asarray(target)
+        norm = loss_normalizer((len(x), 2, PATCH, PATCH), target, pos_weight)
+        if self.dtype != np.float32:
+            return self._step(x, target, pos_weight, norm, start)
+        cuts = range(0, len(x), _CHUNK)
+        chunks = ([(x[i:i + _CHUNK], target[i:i + _CHUNK], pos_weight, norm,
+                    start) for i in cuts] if len(cuts) > 1
+                  else [(x, target, pos_weight, norm, start)])
+        parts = self._in_chunks(self._step, chunks)
+        loss, grads = 0.0, {}
+        for part, _, part_grads in parts:
+            loss += part
+            for name, g in part_grads.items():
+                grads[name] = grads[name] + g if name in grads else g
+        logits = (parts[0][1] if len(parts) == 1
+                  else np.concatenate([p[1] for p in parts]))
+        return loss, logits, grads
+
+    def _step(self, x, target, pos_weight, norm, start):
+        """Walk, score and walk back one batch; its tape dies with the call."""
         tape = []
         logits = self.walk(x, tape, start)
-        loss, g = cross_entropy_2class(logits, target, pos_weight)
+        loss, g = cross_entropy_2class(logits, target, pos_weight, norm)
+        return loss, logits, self.backward(tape, g, start)
+
+    def backward(self, tape, g, start=0):
+        """Walk a tape that `walk` filled from step `start` backwards.
+
+        g is the loss gradient with respect to the walk's output. Returns
+        the gradients of the parameters the walk passed, by name. Each
+        step's cache is popped off the tape once used, so it is freed as
+        the walk goes.
+        """
         grads = {}
-        for i in reversed(range(start, len(self._steps))):
-            step, cache = self._steps[i], tape[i - start]
+        for i in reversed(range(start, start + len(tape))):
+            step, cache = self._steps[i], tape.pop()
             if step is _POOL:
                 g = maxpool2d_backward(g, cache)
             elif step is _SKIP:
@@ -321,7 +394,7 @@ class HetNet:
                 g, *pgrads = layer.backward(cache, g, input_grad=i > start)
                 grads.update((name + "." + pname, pg)
                              for (pname, _), pg in zip(layer.params(), pgrads))
-        return loss, logits, grads
+        return grads
 
 
 def channel_softmax(logits):

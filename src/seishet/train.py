@@ -1,11 +1,14 @@
 """Adam optimizer and the base/fine-tune training loop.
 
-Training is fully deterministic given seeds and the OpenBLAS thread
-count: the epoch shuffle for epoch e comes from
-Prng(shuffle_seed).derive(e), batches walk the permutation in order, and
-each gradient reduction runs in an order fixed by batch shape and by
-that thread count (float32 gradients differ between one and two threads).
-Frozen parameters are skipped entirely by the optimizer, moments included.
+Training is fully deterministic given seeds: the epoch shuffle for epoch
+e comes from Prng(shuffle_seed).derive(e), batches walk the permutation
+in order, and each gradient reduction runs in an order fixed by batch
+shape alone. A float32 step walks fixed 8-patch chunks at one OpenBLAS
+thread, fanned out over the CPUs, and sums their gradients in chunk order
+(`HetNet.loss_and_grads`), so checkpoints and epoch logs are the same on
+one or two OpenBLAS threads; a float64 model walks each batch whole at
+the thread count in effect. Frozen parameters are skipped entirely by
+the optimizer, moments included.
 
 The leading steps a freeze prefix leaves without a trainable parameter
 map every patch to the same features in every epoch, so train() runs
@@ -16,9 +19,8 @@ whole network per step. In float64 the transposed convolutions round a
 patch by its batch, so there this holds only while up1 is trainable
 (freeze prefix 7 or less).
 
-Training stays on the calling thread: the cached features and each
-evaluation call `HetNet.walk`, the serial walk, not the patch-parallel
-forward.
+The cached features and each evaluation run on the calling thread: they
+call `HetNet.walk`, the serial walk, not the patch-parallel forward.
 """
 
 from dataclasses import dataclass, field

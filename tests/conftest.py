@@ -9,6 +9,7 @@ import pytest
 
 from seishet.attention import relative_logits
 from seishet.errors import DimensionError, EvaluationError
+from seishet.layers import cross_entropy_2class
 from seishet.numcore import Prng, blas_threads, set_blas_threads, softmax_lastdim
 from seishet.train import (
     AdamState,
@@ -189,3 +190,31 @@ def reference_train(model, samples, config, heldout=None):
         stats.append(EpochStats(epoch, loss_sum / n, report.iou,
                                 report.precision, report.recall, report.f1))
     return model, stats
+
+
+def chunked_step(model, x, target, pos_weight=None, start=0):
+    """loss_and_grads as a serial loop over 8-patch chunks at one BLAS thread.
+
+    The oracle for the float32 training step: each chunk is walked from
+    step `start`, scored against the whole batch's loss normalizer and
+    walked back on the calling thread, and losses and gradients are added
+    in chunk order. Returns (loss, logits, grads).
+    """
+    norm = (target.size if pos_weight is None
+            else np.where(target == 1, float(pos_weight), 1.0).sum())
+    before = blas_threads()
+    set_blas_threads(1)
+    try:
+        loss, logits, grads = 0.0, [], {}
+        for i in range(0, len(x), 8):
+            tape = []
+            out = model.walk(x[i:i + 8], tape, start)
+            part, g = cross_entropy_2class(out, target[i:i + 8], pos_weight,
+                                           norm)
+            loss += part
+            logits.append(out)
+            for name, pg in model.backward(tape, g, start).items():
+                grads[name] = grads[name] + pg if name in grads else pg
+    finally:
+        set_blas_threads(before)
+    return loss, np.concatenate(logits), grads

@@ -421,24 +421,28 @@ def test_criterion_05_freeze_contract(capsys, tmp_path):
 
 def test_criterion_06_bitwise_determinism(capsys, tmp_path):
     artifacts = []
-    for run in ("r1", "r2"):
+    # the third run holds OpenBLAS at one thread
+    for run, env in (("r1", None), ("r2", None),
+                     ("r3", {"OPENBLAS_NUM_THREADS": "1"})):
         d = tmp_path / run
         r = run_cli("gen", "--out", d / "data", "--count", "4", "--seed", "7",
-                    "--height", "88", "--width", "88")
+                    "--height", "88", "--width", "88", env_extra=env)
         assert r.returncode == 0, r.stderr
         r = run_cli("train", "--data", d / "data", "--out", d / "m.ckpt",
                     "--attention", "se", "--epochs", "2", "--seed", "3",
-                    "--log", d / "train.log")
+                    "--log", d / "train.log", env_extra=env)
         assert r.returncode == 0, r.stderr
         artifacts.append(((d / "m.ckpt").read_bytes(),
                           (d / "train.log").read_bytes()))
     same_ckpt = artifacts[0][0] == artifacts[1][0]
     same_log = artifacts[0][1] == artifacts[1][1]
-    ok = same_ckpt and same_log
+    one_thread = artifacts[2] == artifacts[0]
+    ok = same_ckpt and same_log and one_thread
     _report(capsys, 6, ok,
             "two gen->train runs, same seeds: checkpoints identical=%s,"
-            " epoch logs identical=%s (%d-byte checkpoint)"
-            % (same_ckpt, same_log, len(artifacts[0][0])))
+            " epoch logs identical=%s (%d-byte checkpoint); a third at"
+            " OPENBLAS_NUM_THREADS=1 identical=%s"
+            % (same_ckpt, same_log, len(artifacts[0][0]), one_thread))
 
 
 # ------------------------------------------------------------- criterion 7

@@ -15,6 +15,7 @@ from seishet.layers import (
     _col2im,
     cross_entropy_2class,
     glorot_init,
+    loss_normalizer,
     maxpool2d,
     maxpool2d_backward,
 )
@@ -502,6 +503,21 @@ def test_cross_entropy_pos_weight_gradient_and_neutral_value():
     num = finite_difference_grad(
         lambda v: cross_entropy_2class(v, target, pos_weight=3.0)[0], logits)
     assert relative_error(grad, num) < 1e-6
+
+
+@pytest.mark.parametrize("pos_weight", [None, 3.0])
+def test_cross_entropy_parts_with_the_whole_normalizer_add_up(pos_weight):
+    """Batch rows scored apart against the whole batch's normalizer give
+    the whole batch's gradient bits and, summed, its loss."""
+    p = Prng(43)
+    logits = p.normal(size=(5, 2, 6, 6)).astype(np.float32)
+    target = (p.uniform(0.0, 1.0, size=(5, 6, 6)) > 0.6).astype(np.uint8)
+    loss, grad = cross_entropy_2class(logits, target, pos_weight)
+    norm = loss_normalizer(logits.shape, target, pos_weight)
+    parts = [cross_entropy_2class(logits[i:i + 2], target[i:i + 2],
+                                  pos_weight, norm) for i in (0, 2, 4)]
+    assert np.concatenate([g for _, g in parts]).tobytes() == grad.tobytes()
+    assert abs(sum(part for part, _ in parts) - loss) < 1e-6 * loss
 
 
 def test_cross_entropy_input_validation():

@@ -6,17 +6,19 @@ import select
 import struct
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import relative_error
+from conftest import chunked_step, relative_error
 from seishet.errors import (
     ConfigError,
     DataError,
     DimensionError,
     FormatError,
     IntegrityError,
+    LabelError,
 )
 from seishet import model as model_module
 from seishet.layers import Dense, cross_entropy_2class
@@ -726,3 +728,92 @@ def test_forked_child_builds_its_own_pool(two_blas_threads):
             os.kill(pid, 9)
         os.waitpid(pid, 0)
     assert got == want
+
+
+# ------------------------------------------------------ chunked training step
+
+def _patches_and_masks(seed, n=32):
+    p = Prng(seed)
+    x = p.uniform(-1.0, 1.0, size=(n, 1, 44, 44)).astype(np.float32)
+    y = (p.uniform(0.0, 1.0, size=(n, 44, 44)) < 0.3).astype(np.uint8)
+    return x, y
+
+
+@pytest.mark.parametrize("variant", ["se", "self_attention"])
+def test_training_step_equals_the_per_chunk_oracle(variant):
+    """Fixed 8-patch chunks summed in chunk order, from the input and from
+    the prefix-2 boundary, with and without a positive-class weight."""
+    model = build_network(variant, Prng(65))
+    x, y = _patches_and_masks(66)
+    for prefix in (0, 2):
+        model.set_freeze_prefix(prefix)
+        start = model.frozen_steps()
+        features = model.walk(x, stop=start)
+        for n in (1, 8, 13, 32):
+            for pos_weight in (None, 3.0):
+                loss, logits, grads = model.loss_and_grads(
+                    features[:n], y[:n], pos_weight, start)
+                want = chunked_step(model, features[:n], y[:n], pos_weight,
+                                    start)
+                case = (prefix, n, pos_weight)
+                assert loss == want[0], case
+                assert logits.tobytes() == want[1].tobytes(), case
+                assert sorted(grads) == sorted(want[2]), case
+                for name, g in grads.items():
+                    assert g.tobytes() == want[2][name].tobytes(), (case, name)
+    model.set_freeze_prefix(0)
+
+
+def test_a_bad_target_is_rejected_before_the_batch_is_cut(two_blas_threads):
+    """A 33rd target row would be cut off with the chunks, not rejected."""
+    model = build_network("se", Prng(67))
+    x, y = _patches_and_masks(68, 33)
+    with pytest.raises(DimensionError, match="target shape"):
+        model.loss_and_grads(x[:32], y)
+    assert blas_threads() == 2
+    y[31, 5, 5] = 2
+    with pytest.raises(LabelError):
+        model.loss_and_grads(x[:32], y[:32])
+    assert blas_threads() == 2
+    # a wrong channel count met by stage2.conv1 in the workers
+    with pytest.raises(DimensionError, match="conv expects"):
+        model.loss_and_grads(np.zeros((20, 3, 22, 22), np.float32),
+                             y[:20] % 2, start=3)
+    assert blas_threads() == 2
+
+
+def test_a_training_step_keeps_one_chunk_tape_at_a_time():
+    """At one OpenBLAS thread a batch-32 step holds about what a batch-8
+    step does: each chunk's tape is freed as its backward walk ends."""
+    model = build_network("self_attention", Prng(69))
+    x, y = _patches_and_masks(70)
+    before = blas_threads()
+    set_blas_threads(1)
+    try:
+        model.loss_and_grads(x[:8], y[:8])
+        peaks = []
+        for n in (8, 32):
+            tracemalloc.start()
+            try:
+                model.loss_and_grads(x[:n], y[:n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    finally:
+        set_blas_threads(before)
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_workers_keep_the_callers_error_state(two_blas_threads):
+    """Overflow that the caller's np.errstate ignores is ignored in the
+    workers too, in inference and in training."""
+    model = build_network("se", Prng(71))
+    for arr in model.named_parameters().values():
+        arr *= np.float32(1e18)
+    x, y = _patches_and_masks(72, 20)
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(model.forward(x)).all()
+        assert not np.isfinite(model.loss_and_grads(x, y)[0])
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        model.forward(x)
+    assert blas_threads() == 2

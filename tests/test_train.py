@@ -7,7 +7,7 @@ from conftest import reference_train
 from seishet.errors import DataError, DimensionError, EvaluationError
 from seishet.layers import cross_entropy_2class
 from seishet.model import build_network, save_checkpoint
-from seishet.numcore import Prng
+from seishet.numcore import Prng, set_blas_threads
 from seishet.synthgen import SyntheticConfig, generate_dataset
 from seishet.train import (
     AdamState,
@@ -305,3 +305,29 @@ def test_cached_features_through_the_se_block_train_like_the_full_network(
         save_checkpoint(model, str(tmp_path / "fit.ckpt"))
         got.append(((tmp_path / "fit.ckpt").read_bytes(), stats))
     assert got[0] == got[1]
+
+
+def _fit_at_threads(fit, variant, prefix, threads, tmp_path):
+    """(checkpoint bytes, epoch-log bytes) of a fit at `threads` OpenBLAS
+    threads; batches of 20 patches run as chunks of 8, 8 and 4."""
+    set_blas_threads(threads)
+    samples = generate_dataset(SyntheticConfig(sections=3, seed=4))[:40]
+    model = build_network(variant, Prng(42))
+    config = TrainConfig(epochs=2, batch_size=20, shuffle_seed=6,
+                         freeze_prefix=prefix)
+    _, stats = fit(model, samples[:30], config, samples[30:])
+    path = tmp_path / ("%d.ckpt" % threads)
+    save_checkpoint(model, str(path))
+    log = "".join(entry.format_line() + "\n" for entry in stats)
+    return path.read_bytes(), log.encode()
+
+
+@pytest.mark.parametrize("fit,variant,prefix", [
+    (train, "se", 0), (train, "self_attention", 0),
+    (finetune, "se", 2), (finetune, "self_attention", 2)])
+def test_checkpoints_and_logs_do_not_depend_on_the_blas_thread_count(
+        fit, variant, prefix, tmp_path, two_blas_threads):
+    two = _fit_at_threads(fit, variant, prefix, 2, tmp_path)
+    one = _fit_at_threads(fit, variant, prefix, 1, tmp_path)
+    assert one[0] == two[0]
+    assert one[1] == two[1]
