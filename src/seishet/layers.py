@@ -6,12 +6,13 @@ width) order. The geometry is the network's and nothing else: Conv2d is
 stride 1 with padding k // 2, so it keeps H and W (k = 3 in the trunk and
 attention branch, k = 1 for the head and the SE spatial gate), and
 TransposedConv2d is the 3x3 stride-2 upsampler that exactly doubles H and
-W. A 3x3 convolution works from its input zero-padded once into a
-channel-major flat buffer in which every kernel tap is a contiguous slice
-(see Conv2d); the transposed convolution scatters with _col2im and
-gathers with _im2col; 1x1 convolutions stay per patch on x's own view.
-Backward passes are checked against loop oracles and the central
-difference oracle.
+W. Both 3x3 layers work from their input zero-padded once into a
+channel-major flat buffer in which every kernel tap is a contiguous slice,
+and their forward passes sum tap products over it (_tap_sum; a Conv2d
+that widens its input gathers columns instead); the transposed
+convolution's backward gathers with a stride-2 _im2col; 1x1 convolutions
+stay per patch on x's own view. Backward passes are checked against loop
+oracles and the central difference oracle.
 
 Every layer has the same protocol: ``forward(x)`` returns the output and
 keeps nothing; ``forward_cache(x)`` returns ``(y, cache)``; ``backward(cache,
@@ -102,25 +103,6 @@ def _im2col(xf, x_shape, kernel, stride):
     return view.reshape(c * kernel * kernel, b * ho * wo), ho, wo
 
 
-def _col2im(gcols, x_shape, kernel, stride):
-    """Adjoint of _im2col: scatter-add channel-major columns onto (B,C,H,W)."""
-    b, c, h, w = x_shape
-    p = kernel // 2
-    hp, wp, ho, wo = _grid(x_shape, kernel, stride)
-    g = gcols.reshape(c, kernel, kernel, b, ho, wo)
-    gx = np.zeros((c, b, hp, wp), dtype=gcols.dtype)
-    for i in range(kernel):
-        for j in range(kernel):
-            gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g[:, i, j]
-    gx = gx[:, :, p:p + h, p:p + w]
-    return np.ascontiguousarray(gx.transpose(1, 0, 2, 3))
-
-
-def _channel_major(x):
-    """(B, C, H, W) -> (C, B*H*W): the batch as one GEMM operand."""
-    return x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
-
-
 def _per_patch(wm, cols, b):
     """wm times each patch's strided view of channel-major cols: (B, O, P).
 
@@ -129,6 +111,34 @@ def _per_patch(wm, cols, b):
     N mod 8 columns of a product its own way, and here they are outputs.
     """
     return np.matmul(wm, cols.reshape(cols.shape[0], b, -1).transpose(1, 0, 2))
+
+
+def _tap_sum(weights, offsets, xf, x_shape):
+    """Sum over taps t of weights[t] @ xf[:, offsets[t]:], valid outputs only.
+
+    weights is a (T, O, C) stack of tap matrices and xf a _pad_flat buffer
+    of a (B, C, H, W) input padded by 1; the result is (B, O, H, W), grid
+    position (y, x) of each patch. Runs a block of whole patches at a time,
+    so that the running sum and one tap's product fit in _BLOCK_BYTES. A
+    patch's outputs come out the same alone or in any batch: the last
+    N mod 8 columns of a product, which float64 BLAS rounds its own way,
+    are the last patch's bottom padding rows, which hold no output.
+    """
+    b, out_ch = x_shape[0], weights.shape[1]
+    hp, wp, ho, wo = _grid(x_shape, 3, 1)
+    grid = hp * wp
+    per = max(1, min(b, _BLOCK_BYTES // (2 * out_ch * grid * xf.itemsize)))
+    total, part = np.empty((2, out_ch, per * grid), dtype=xf.dtype)
+    y = np.empty((b, out_ch, ho, wo), dtype=xf.dtype)
+    for b0 in range(0, b, per):
+        nb = min(per, b - b0)
+        m, q = nb * grid, b0 * grid
+        cols = [xf[:, q + off:q + off + m] for off in offsets]
+        acc = np.matmul(weights[0], cols[0], out=total[:, :m])
+        for w_t, c_t in zip(weights[1:], cols[1:]):
+            acc += np.matmul(w_t, c_t, out=part[:, :m])
+        y[b0:b0 + nb] = _valid(acc, nb, hp, wp, ho, wo)
+    return y
 
 
 class Conv2d:
@@ -180,36 +190,12 @@ class Conv2d:
                 cols = _im2col(xf, x.shape, k, 1)[0]
                 y = _per_patch(self.weight.reshape(self.out_ch, -1), cols, b)
             else:
-                y = self._tap_sum(xf, x.shape)
+                weights, offsets = self._taps(x.shape[3] + 2)
+                y = _tap_sum(weights, offsets, xf, x.shape)
             cache = (xf, x.shape)
         y = y.reshape((b, self.out_ch) + x.shape[2:])
         y += self.bias[:, None, None]
         return y, cache
-
-    def _tap_sum(self, xf, x_shape):
-        """Sum of the k*k tap products over the padded grid, valid outputs only.
-
-        Runs a block of whole patches at a time, so that the running sum and
-        one tap's product fit in _BLOCK_BYTES. A patch's outputs come out the
-        same alone or in any batch: the last N mod 8 columns of a product,
-        which float64 BLAS rounds its own way, are the last patch's bottom
-        padding rows, which hold no output.
-        """
-        b = x_shape[0]
-        hp, wp, ho, wo = _grid(x_shape, self.kernel, 1)
-        grid = hp * wp
-        per = max(1, min(b, _BLOCK_BYTES // (2 * self.out_ch * grid * xf.itemsize)))
-        weights, offsets = self._taps(wp)
-        total, part = np.empty((2, self.out_ch, per * grid), dtype=xf.dtype)
-        y = np.empty((b, self.out_ch, ho, wo), dtype=xf.dtype)
-        for b0 in range(0, b, per):
-            nb = min(per, b - b0)
-            m, q = nb * grid, b0 * grid
-            acc = np.matmul(weights[0], xf[:, q:q + m], out=total[:, :m])
-            for w_t, off in zip(weights[1:], offsets[1:]):
-                acc += np.matmul(w_t, xf[:, q + off:q + off + m], out=part[:, :m])
-            y[b0:b0 + nb] = _valid(acc, nb, hp, wp, ho, wo)
-        return y
 
     def forward(self, x):
         return self.forward_cache(x)[0]
@@ -332,11 +318,12 @@ class Dense:
 class TransposedConv2d:
     """Stride-2 transposed 3x3 convolution that exactly doubles H and W.
 
-    Weight is shaped (in_ch, out_ch, 3, 3). Forward is W^T x, one kernel
-    stamp per input pixel, scattered by _col2im onto the 2H x 2W output
-    grid padded by 1, so the stamps' last row and column fall off: the
-    adjoint of a stride-2 3x3 convolution over the output padded by one
-    leading zero row and column. Backward gathers with _im2col.
+    Weight is shaped (in_ch, out_ch, 3, 3): each input pixel stamps the
+    kernel onto the 2H x 2W output grid padded by 1, the adjoint of a
+    stride-2 3x3 convolution over the output padded by one leading zero
+    row and column. Forward sums 1, 2, 2 or 4 tap products per sub-pixel
+    phase (even or odd output row and column) with _tap_sum; backward
+    gathers with a stride-2 _im2col.
     """
 
     def __init__(self, in_ch, out_ch, prng=None, dtype=np.float32):
@@ -355,8 +342,18 @@ class TransposedConv2d:
                 "transposed conv expects (B,%d,H,W), got %s" % (self.in_ch, (x.shape,))
             )
         b, _, h, w = x.shape
-        stamps = self.weight.reshape(self.in_ch, -1).T @ _channel_major(x)
-        y = _col2im(stamps, (b, self.out_ch, 2 * h, 2 * w), 3, 2)
+        xf, wp = _pad_flat(x, 3), w + 2
+        wt = np.ascontiguousarray(self.weight.transpose(2, 3, 1, 0))
+        y = np.empty((b, self.out_ch, 2 * h, 2 * w), dtype=x.dtype)
+        # output row 2y takes kernel row 1 at input row y, row 2y+1 takes
+        # row 0 at y+1 and row 2 at y; columns likewise
+        phases = ((1,), (0, 2))
+        for a, rows in enumerate(phases):
+            for c, cols in enumerate(phases):
+                taps = wt[np.ix_(rows, cols)].reshape(-1, self.out_ch, self.in_ch)
+                offsets = [(1 + (i == 0)) * wp + 1 + (j == 0)
+                           for i in rows for j in cols]
+                y[:, :, a::2, c::2] = _tap_sum(taps, offsets, xf, x.shape)
         y += self.bias[:, None, None]
         return y
 
@@ -369,7 +366,8 @@ class TransposedConv2d:
         wm = self.weight.reshape(self.in_ch, -1)
         grad_x = (_per_patch(wm, gcols, x.shape[0]).reshape(x.shape)
                   if input_grad else None)
-        grad_w = (_channel_major(x) @ gcols.T).reshape(self.weight.shape)
+        xm = x.transpose(1, 0, 2, 3).reshape(self.in_ch, -1)
+        grad_w = (xm @ gcols.T).reshape(self.weight.shape)
         return grad_x, grad_w, grad_b
 
     def params(self):

@@ -26,7 +26,7 @@ thread count, so the logits equal those of one walk over the whole batch.
 each forward and back at one OpenBLAS thread and sums the gradients in
 chunk order, so a training step, and with it a checkpoint, is the same on
 one or two OpenBLAS threads and with or without the pool. Float64 models
-stay serial: their walk rounds by batch and by thread count. A model with
+stay serial: their walk rounds by thread count. A model with
 a layer method replaced on the instance (a hook or a profiler's wrapper),
 which may not be safe to call from two threads, runs on the calling
 thread: inference as one walk, training as the same chunks at one

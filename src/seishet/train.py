@@ -13,11 +13,9 @@ the optimizer, moments included.
 The leading steps a freeze prefix leaves without a trainable parameter
 map every patch to the same features in every epoch, so train() runs
 them once per call and starts each step and each evaluation from those
-features. In float32 every step gives a patch the same bits alone as in
-any batch, so the checkpoint and epoch log equal those of running the
-whole network per step. In float64 the transposed convolutions round a
-patch by its batch, so there this holds only while up1 is trainable
-(freeze prefix 7 or less).
+features. In float32 and in float64 every step gives a patch the same
+bits alone as in any batch, so the checkpoint and epoch log equal those
+of running the whole network per step.
 
 The cached features and each evaluation run on the calling thread: they
 call `HetNet.walk`, the serial walk, not the patch-parallel forward.

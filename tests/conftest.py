@@ -161,6 +161,30 @@ def relative_error(a, b):
     return float(np.abs(a - b).max(initial=0.0) / denom)
 
 
+def col2im(cols, shape, stride):
+    """Scatter-add (C*9, B*Ho*Wo) 3x3 columns onto a (B, C, H, W) grid.
+
+    The column form of a 3x3 convolution padded by 1, at stride 1 or 2:
+    row (c*3 + i)*3 + j, column (b*Ho + y)*Wo + x lands on padded pixel
+    (b, c, y*stride + i, x*stride + j), taps added in (i, j) order, and the
+    padding is cropped. With cols = W^T x it is a transposed convolution's
+    forward (stride 2) or a convolution's input gradient (stride 1).
+    """
+    b, c, h, w = shape
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+    g = cols.reshape(c, 3, 3, b, ho, wo)
+    grid = np.zeros((c, b, h + 2, w + 2), dtype=cols.dtype)
+    for i in range(3):
+        for j in range(3):
+            grid[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += g[:, i, j]
+    return np.ascontiguousarray(grid[:, :, 1:h + 1, 1:w + 1].transpose(1, 0, 2, 3))
+
+
+def channel_major(x):
+    """(B, C, H, W) -> (C, B*H*W): the batch as one GEMM operand."""
+    return x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
+
+
 def reference_train(model, samples, config, heldout=None):
     """train() as a plain loop that runs the whole network in every step.
 

@@ -5,14 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import finite_difference_grad, relative_error
+from conftest import channel_major, col2im, finite_difference_grad, relative_error
 from seishet.errors import DimensionError, LabelError
 from seishet.layers import (
     Conv2d,
     Dense,
     TransposedConv2d,
-    _channel_major,
-    _col2im,
     cross_entropy_2class,
     glorot_init,
     loss_normalizer,
@@ -133,14 +131,14 @@ def test_conv_batch_decomposition_at_network_shapes(in_ch, out_ch, size, dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("in_ch,out_ch,size", NETWORK_CONVS[1:])
 def test_conv_input_grad_equals_column_form_bit_for_bit(in_ch, out_ch, size, dtype):
-    """grad_x has the bits of W^T g over all taps at once, folded by _col2im."""
+    """grad_x has the bits of W^T g over all taps at once, folded by col2im."""
     p = Prng(40 + in_ch + out_ch)
     layer = Conv2d(in_ch, out_ch, prng=p, dtype=dtype)
     x = p.normal(size=(8, in_ch, size, size)).astype(dtype)
     g = p.normal(size=(8, out_ch, size, size)).astype(dtype)
     gx, _, _ = layer.backward(layer.forward_cache(x)[1], g)
-    gcols = layer.weight.reshape(out_ch, -1).T @ _channel_major(g)
-    assert gx.tobytes() == _col2im(gcols, x.shape, 3, 1).tobytes()
+    gcols = layer.weight.reshape(out_ch, -1).T @ channel_major(g)
+    assert gx.tobytes() == col2im(gcols, x.shape, 1).tobytes()
 
 
 def _conv_backward_loop_oracle(x, weight, g, stride, padding):
@@ -383,6 +381,43 @@ def test_transposed_conv_adjoint_identity_at_network_sizes(in_ch, out_ch, size):
     conv = _conv_loop_oracle(ypad, tconv.weight, np.zeros(in_ch), 2, 0)
     rhs = float((conv * x).sum())
     assert abs(lhs - rhs) <= 1e-5 * max(abs(lhs), 1.0)
+
+
+NETWORK_TCONVS = [(100, 20, 11), (20, 10, 22)]
+
+
+def _tconv(in_ch, out_ch, dtype):
+    p = Prng(70 + in_ch)
+    layer = TransposedConv2d(in_ch, out_ch, prng=p, dtype=dtype)
+    layer.bias = p.normal(size=out_ch).astype(dtype)
+    return layer, p
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("in_ch,out_ch,size", NETWORK_TCONVS)
+def test_transposed_conv_gives_a_patch_the_same_bits_in_any_chunk(
+        in_ch, out_ch, size, dtype):
+    """up1 and up2 round each patch alone, whatever batch it comes in."""
+    layer, p = _tconv(in_ch, out_ch, dtype)
+    x = p.normal(size=(77, in_ch, size, size)).astype(dtype)
+    whole = layer.forward(x)
+    for n in (1, 5, 8, 13):
+        for i in range(0, len(x), n):
+            assert layer.forward(x[i:i + n]).tobytes() == whole[i:i + n].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("in_ch,out_ch,size", NETWORK_TCONVS)
+def test_transposed_conv_forward_equals_column_form_bit_for_bit(
+        in_ch, out_ch, size, dtype):
+    """Forward has the bits of W^T x over all taps at once, scattered by
+    col2im at stride 2, so the upsamplers' outputs keep their bytes."""
+    layer, p = _tconv(in_ch, out_ch, dtype)
+    x = p.normal(size=(8, in_ch, size, size)).astype(dtype)
+    stamps = layer.weight.reshape(in_ch, -1).T @ channel_major(x)
+    want = col2im(stamps, (8, out_ch, 2 * size, 2 * size), 2)
+    want += layer.bias[:, None, None]
+    assert layer.forward(x).tobytes() == want.tobytes()
 
 
 def test_maxpool_single_window():

@@ -290,6 +290,24 @@ def test_cached_frozen_features_train_like_the_full_network(variant, prefix,
         assert got[1] == want[1]
 
 
+@pytest.mark.parametrize("prefix", range(6, 11))
+def test_float64_cached_features_train_like_the_full_network(prefix):
+    """A float64 patch, too, gets the same bits alone as in any batch, so
+    its cache also holds past the upsamplers (prefixes 8 to 10). The
+    parameters are compared as float64: a checkpoint stores float32."""
+    samples = generate_dataset(SyntheticConfig(sections=2, seed=3))[:20]
+    got = []
+    for fit in (train, reference_train):
+        model = build_network("se", Prng(42), dtype=np.float64)
+        config = TrainConfig(epochs=2, batch_size=3, shuffle_seed=6,
+                             freeze_prefix=prefix)
+        _, stats = fit(model, samples, config)
+        params = [(name, arr.tobytes())
+                  for name, arr in model.named_parameters().items()]
+        got.append((params, stats))
+    assert got[0] == got[1]
+
+
 def test_cached_features_through_the_se_block_train_like_the_full_network(
         tmp_path):
     """Freeze prefix 7 caches features through the SE block; 100 patches at
