@@ -9,7 +9,8 @@ TransposedConv2d is the 3x3 stride-2 upsampler that exactly doubles H and
 W. Both 3x3 layers work from their input zero-padded once into a
 channel-major flat buffer in which every kernel tap is a contiguous slice,
 and their forward passes sum tap products over it (_tap_sum; a Conv2d
-that widens its input gathers columns instead); the transposed
+that widens its input gathers columns instead). Conv2d's grad_x is
+_tap_sum too, of the output gradient padded the same way; the transposed
 convolution's backward gathers with a stride-2 _im2col; 1x1 convolutions
 stay per patch on x's own view. Backward passes are checked against loop
 oracles and the central difference oracle.
@@ -80,11 +81,6 @@ def _grid(x_shape, kernel, stride):
     return hp, wp, (hp - kernel) // stride + 1, (wp - kernel) // stride + 1
 
 
-def _valid(a, b, hp, wp, ho, wo):
-    """(B, R, Ho, Wo) view of the stride-1 outputs in a (R, B*Hp*Wp) grid."""
-    return a.reshape(a.shape[0], b, hp, wp)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
-
-
 def _im2col(xf, x_shape, kernel, stride):
     """Gather (C*k*k, B*Ho*Wo) columns from a _pad_flat buffer, plus Ho and Wo.
 
@@ -137,7 +133,8 @@ def _tap_sum(weights, offsets, xf, x_shape):
         acc = np.matmul(weights[0], cols[0], out=total[:, :m])
         for w_t, c_t in zip(weights[1:], cols[1:]):
             acc += np.matmul(w_t, c_t, out=part[:, :m])
-        y[b0:b0 + nb] = _valid(acc, nb, hp, wp, ho, wo)
+        valid = acc.reshape(out_ch, nb, hp, wp)[:, :, :ho, :wo]
+        y[b0:b0 + nb] = valid.transpose(1, 0, 2, 3)
     return y
 
 
@@ -149,10 +146,11 @@ class Conv2d:
     training tape keeps only that. With out_ch > in_ch the forward gathers the
     k*k-fold columns of the narrower input once and takes one product per
     patch, since k*k passes over the wider output would cost more;
-    otherwise it sums k*k tap products over the padded grid. Backward works
-    from the same buffer, in blocks of grid columns: grad_w gathers one
-    block's taps at a time, and grad_x adds one block's tap products in tap
-    order. A 1x1 kernel multiplies each patch's own view of x.
+    otherwise it sums k*k tap products over the padded grid. Backward pads
+    the output gradient the same way: grad_w gathers the input buffer's taps
+    one block of grid columns at a time, and grad_x is _tap_sum of the
+    padded gradient with the transposed taps at mirrored offsets. A 1x1
+    kernel multiplies each patch's own view of x.
     """
 
     def __init__(self, in_ch, out_ch, kernel=3, prng=None, dtype=np.float32):
@@ -212,48 +210,18 @@ class Conv2d:
             grad_x = np.matmul(wm.T, g).reshape(x_shape) if input_grad else None
             return grad_x, grad_w.reshape(self.weight.shape), grad_b
         xf, x_shape = cache
-        p = self.kernel // 2
-        hp, wp, ho, wo = _grid(x_shape, self.kernel, 1)
-        n = b * hp * wp
-        # the output gradient on the padded grid, zero where no output is
-        gf = np.zeros((self.out_ch, n), dtype=grad_out.dtype)
-        _valid(gf, b, hp, wp, ho, wo)[...] = grad_out
-        grad_w = self._weight_grad(xf, gf, wp, n)
+        wp = x_shape[3] + 2
+        n = b * (x_shape[2] + 2) * wp
+        # the output gradient padded by 1; from wp + 1 on, the padded grid
+        # holds it at the outputs' own positions and zeros elsewhere
+        gp = _pad_flat(grad_out, 3)
+        grad_w = self._weight_grad(xf, gp[:, wp + 1:], wp, n)
         if not input_grad:
             return None, grad_w, grad_b
-        gxf = self._input_grad(gf, xf.shape[1], wp, n)
-        h, w = x_shape[2:]
-        gx = gxf[:, :n].reshape(self.in_ch, b, hp, wp)[:, :, p:p + h, p:p + w]
-        return np.ascontiguousarray(gx.transpose(1, 0, 2, 3)), grad_w, grad_b
-
-    def _input_grad(self, gf, length, wp, n):
-        """grad_x on the flat padded grid: W[:, :, i, j]^T @ g added at i*wp + j.
-
-        Runs one block of the grid at a time: one product gives every tap's
-        rows for the columns that reach the block, and the block's elements
-        receive their taps in row-major order, the sums of tap by tap over
-        the whole grid. Products start on multiples of 16 columns and span a
-        multiple of 16 but at the grid's end: float64 BLAS rounds the last
-        N mod 8 columns of a product its own way, so these stay the same.
-        """
-        c = self.in_ch
+        # W[:, :, i, j]^T meets the gradient at the mirrored tap (2 - i, 2 - j)
         weights, offsets = self._taps(wp)
-        reach = offsets[-1]
-        # (k*k*C, O) as the transpose of a row-major (O, k*k*C) matrix
-        wm = weights.transpose(1, 0, 2).reshape(self.out_ch, -1).T
-        step = max(16, _BLOCK_BYTES // (wm.shape[0] * gf.itemsize) // 16 * 16)
-        buf = np.empty((wm.shape[0], step + reach + 16), dtype=gf.dtype)
-        gxf = np.zeros((c, length), dtype=gf.dtype)
-        for p0 in range(0, length, step):
-            p1 = min(length, p0 + step)
-            lo, hi = max(p0 - reach, 0) // 16 * 16, min(p1, n)
-            cols = np.matmul(wm, gf[:, lo:hi], out=buf[:, :hi - lo])
-            for t, off in enumerate(offsets):
-                q0, q1 = max(p0 - off, lo), min(p1 - off, hi)
-                if q0 < q1:
-                    rows = cols[t * c:(t + 1) * c]
-                    gxf[:, q0 + off:q1 + off] += rows[:, q0 - lo:q1 - lo]
-        return gxf
+        grad_x = _tap_sum(weights.transpose(0, 2, 1), offsets[::-1], gp, grad_out.shape)
+        return grad_x, grad_w, grad_b
 
     def _weight_grad(self, xf, gf, wp, n):
         """grad_w, one (O, C*k*k) product per block of padded-grid columns.

@@ -242,6 +242,19 @@ def _prepare_windows(section, corners, src, dst):
         np.stack([section[y:y + src, x:x + src] for y, x in corners]), dst, dst))
 
 
+def _section_windows(section, src, stride):
+    """The section as float64 and its src x src window corners at stride."""
+    section = np.asarray(section, dtype=np.float64)
+    if section.ndim != 2:
+        raise DimensionError("expected a 2D section, got rank %d" % section.ndim)
+    h, w = section.shape
+    if h < src or w < src:
+        raise DimensionError(
+            "section %dx%d is smaller than the %d window" % (h, w, src)
+        )
+    return section, window_corners(h, w, src, stride)
+
+
 def real_patches(section, mask, src=REAL_PATCH_SRC, dst=REAL_PATCH_DST,
                  stride=REAL_PATCH_STRIDE):
     """Overlapping src x src windows upscaled to dst x dst training samples.
@@ -249,20 +262,12 @@ def real_patches(section, mask, src=REAL_PATCH_SRC, dst=REAL_PATCH_DST,
     Amplitude windows are bilinearly rescaled then min-max normalized;
     mask windows are nearest-neighbor rescaled and re-binarized.
     """
-    section = np.asarray(section, dtype=np.float64)
+    section, corners = _section_windows(section, src, stride)
     mask = np.asarray(mask)
-    if section.ndim != 2:
-        raise DimensionError("real_patches expects a 2D section")
     if mask.shape != section.shape:
         raise DimensionError(
             "mask %s does not match section %s" % (mask.shape, section.shape)
         )
-    h, w = section.shape
-    if h < src or w < src:
-        raise DimensionError(
-            "section %dx%d is smaller than the %d window" % (h, w, src)
-        )
-    corners = window_corners(h, w, src, stride)
     images = _prepare_windows(section, corners, src, dst)
     out = []
     for (y, x), image in zip(corners, images):
@@ -280,15 +285,8 @@ def tile_predict(model, section, src=REAL_PATCH_SRC, stride=REAL_PATCH_STRIDE,
     is downscaled back onto the window footprint. Overlaps average; pixels
     no window covers stay 0. The result does not depend on window order.
     """
-    section = np.asarray(section, dtype=np.float64)
-    if section.ndim != 2:
-        raise DimensionError("tile_predict expects a 2D section")
+    section, corners = _section_windows(section, src, stride)
     h, w = section.shape
-    if h < src or w < src:
-        raise DimensionError(
-            "section %dx%d is smaller than the %d window" % (h, w, src)
-        )
-    corners = window_corners(h, w, src, stride)
     prob_sum = np.zeros((h, w), dtype=np.float64)
     hits = np.zeros((h, w), dtype=np.float64)
     for start in range(0, len(corners), batch_size):

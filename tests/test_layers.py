@@ -117,7 +117,11 @@ NETWORK_CONVS = [(1, 20, 44), (20, 20, 44), (20, 50, 22), (50, 50, 22),
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("in_ch,out_ch,size", NETWORK_CONVS)
 def test_conv_batch_decomposition_at_network_shapes(in_ch, out_ch, size, dtype):
-    """Each patch gives the same bits alone as inside its batch."""
+    """Each patch gives the same bits alone as inside its batch.
+
+    So does its backward grad_x, at every shape but the first conv's,
+    whose input gradient the network never takes.
+    """
     p = Prng(30 + in_ch + out_ch)
     layer = Conv2d(in_ch, out_ch, prng=p, dtype=dtype)
     layer.bias = p.normal(size=out_ch).astype(dtype)
@@ -126,19 +130,33 @@ def test_conv_batch_decomposition_at_network_shapes(in_ch, out_ch, size, dtype):
     for n in range(x.shape[0]):
         alone = layer.forward(x[n:n + 1])[0]
         assert whole[n].tobytes() == alone.tobytes()
+    if (in_ch, out_ch, size) == NETWORK_CONVS[0]:
+        return
+    g = p.normal(size=whole.shape).astype(dtype)
+    gx = layer.backward(layer.forward_cache(x)[1], g)[0]
+    for n in range(x.shape[0]):
+        alone = layer.backward(layer.forward_cache(x[n:n + 1])[1], g[n:n + 1])[0]
+        assert gx[n:n + 1].tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("in_ch,out_ch,size", NETWORK_CONVS[1:])
 def test_conv_input_grad_equals_column_form_bit_for_bit(in_ch, out_ch, size, dtype):
-    """grad_x has the bits of W^T g over all taps at once, folded by col2im."""
+    """grad_x has the bits of W^T g over all taps at once, folded by col2im.
+
+    Also for a g that is a channel slice of a wider array, as the concat
+    step and the attention-augmented conv pass it.
+    """
     p = Prng(40 + in_ch + out_ch)
     layer = Conv2d(in_ch, out_ch, prng=p, dtype=dtype)
     x = p.normal(size=(8, in_ch, size, size)).astype(dtype)
     g = p.normal(size=(8, out_ch, size, size)).astype(dtype)
-    gx, _, _ = layer.backward(layer.forward_cache(x)[1], g)
-    gcols = layer.weight.reshape(out_ch, -1).T @ channel_major(g)
-    assert gx.tobytes() == col2im(gcols, x.shape, 1).tobytes()
+    wide = p.normal(size=(8, out_ch + 7, size, size)).astype(dtype)
+    cache = layer.forward_cache(x)[1]
+    for grad in (g, wide[:, 4:4 + out_ch]):
+        gx, _, _ = layer.backward(cache, grad)
+        gcols = layer.weight.reshape(out_ch, -1).T @ channel_major(grad)
+        assert gx.tobytes() == col2im(gcols, x.shape, 1).tobytes()
 
 
 def _conv_backward_loop_oracle(x, weight, g, stride, padding):

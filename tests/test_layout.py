@@ -1,9 +1,10 @@
 """src/seishet holds pipeline code only.
 
-Every public module-level function and class must have a caller: a
-reference in src/seishet outside its own definition, a mention in the
-benchmark under perfbench/, or the console entry point in pyproject.toml.
-Test oracles and helpers live in tests/conftest.py instead.
+Every module-level function and class, public or private, must have a
+caller: a reference in src/seishet outside its own definition, a mention
+in the benchmark under perfbench/, or the console entry point in
+pyproject.toml. Test oracles and helpers live in tests/conftest.py
+instead, and a helper whose last caller goes fails here.
 """
 
 import ast
@@ -13,7 +14,7 @@ import re
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SRC = os.path.join(_ROOT, "src", "seishet")
 
-# Public names allowed without a caller, each with its reason.
+# Names allowed without a caller, each with its reason.
 _EXEMPT = {
     "load_section_mask": "the real-data patch command planned in ROADMAP item 3 "
                          "reads annotation masks through it",
@@ -32,14 +33,13 @@ def _names_used(node):
             for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def _uncalled_public_names():
+def _uncalled_names():
     defined = []   # (module, name, defining node)
     uses = []      # (top-level node, names it references)
     for module, text in _sources(_SRC):
         for node in ast.parse(text).body:
             uses.append((node, _names_used(node)))
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((module, node.name, node))
     outside = "\n".join(text for _, text in _sources(os.path.join(_ROOT, "perfbench")))
     with open(os.path.join(_ROOT, "pyproject.toml")) as fh:
@@ -54,11 +54,11 @@ def _uncalled_public_names():
     return missing
 
 
-def test_every_public_name_in_src_has_a_pipeline_caller():
-    missing = [m for m in _uncalled_public_names() if m.split(":")[1] not in _EXEMPT]
+def test_every_module_level_name_in_src_has_a_pipeline_caller():
+    missing = [m for m in _uncalled_names() if m.split(":")[1] not in _EXEMPT]
     assert missing == [], "no caller outside tests: %s" % ", ".join(missing)
 
 
 def test_exemptions_are_still_needed():
-    uncalled = {m.split(":")[1] for m in _uncalled_public_names()}
+    uncalled = {m.split(":")[1] for m in _uncalled_names()}
     assert set(_EXEMPT) <= uncalled, sorted(set(_EXEMPT) - uncalled)
