@@ -37,7 +37,13 @@ from .segy import (
     read_section,
     tile_predict,
 )
-from .synthgen import SyntheticConfig, generate_dataset, read_dataset, write_dataset
+from .synthgen import (
+    SyntheticConfig,
+    generate_dataset,
+    read_dataset,
+    window_corners,
+    write_dataset,
+)
 from .train import TrainConfig, finetune, split_dataset, train
 
 ATTENTION_CHOICES = {"se": "se", "self": "self_attention"}
@@ -226,6 +232,12 @@ def cmd_predict(args):
         "wrote %s confidence map %dx%d to %s"
         % (args.format, prob_map.shape[0], prob_map.shape[1], args.out)
     )
+    corners = window_corners(*prob_map.shape, args.src, args.stride)
+    covered = np.zeros(prob_map.shape, dtype=bool)
+    for y, x in corners:
+        covered[y:y + args.src, x:x + args.src] = True
+    print("%d windows cover %d of %d pixels"
+          % (len(corners), covered.sum(), covered.size))
     return 0
 
 

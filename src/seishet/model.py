@@ -30,8 +30,7 @@ stay serial: their walk rounds by thread count. A model with
 a layer method replaced on the instance (a hook or a profiler's wrapper),
 which may not be safe to call from two threads, runs on the calling
 thread: inference as one walk, training as the same chunks at one
-OpenBLAS thread. `train()`'s cached features and per-epoch evaluation
-call `HetNet.walk`, the serial walk, on the calling thread.
+OpenBLAS thread.
 """
 
 import contextvars
@@ -243,8 +242,7 @@ class HetNet:
         x is the activation entering step `start`, checked as network input
         when that is the first step. Without a tape no cache is kept. This
         is the serial walk: it runs on the calling thread at the OpenBLAS
-        thread count in effect. `train()`'s cached features and evaluation
-        call it, so that they never fan out.
+        thread count in effect.
         """
         if start == 0:
             x = self._checked(x)

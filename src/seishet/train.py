@@ -17,8 +17,9 @@ features. In float32 and in float64 every step gives a patch the same
 bits alone as in any batch, so the checkpoint and epoch log equal those
 of running the whole network per step.
 
-The cached features and each evaluation run on the calling thread: they
-call `HetNet.walk`, the serial walk, not the patch-parallel forward.
+The cached features and each evaluation go through `HetNet.forward`, so a
+float32 batch of them also runs patch-parallel; its logits and features
+keep the serial walk's bytes.
 """
 
 from dataclasses import dataclass, field
@@ -119,9 +120,12 @@ def split_dataset(samples, fraction=0.8, seed=0):
 
 
 def stack_samples(samples):
-    """Samples -> (images (N,1,P,P) float32, masks (N,P,P) uint8)."""
-    x = np.stack([s.image for s in samples]).astype(np.float32)[:, None]
-    y = np.stack([s.mask for s in samples]).astype(np.uint8)
+    """Samples -> (images (N,1,P,P) float32, masks (N,P,P) uint8).
+
+    Each array is built once, in its final dtype, never copied by a cast.
+    """
+    x = np.stack([s.image for s in samples], dtype=np.float32)[:, None]
+    y = np.stack([s.mask for s in samples], dtype=np.uint8)
     return x, y
 
 
@@ -132,7 +136,7 @@ def evaluate_batched(model, x, y, batch_size=64, start=0):
     """
     counts = ConfusionCounts()
     for i in range(0, x.shape[0], batch_size):
-        prob = channel_softmax(model.walk(x[i:i + batch_size], start=start))
+        prob = channel_softmax(model.forward(x[i:i + batch_size], start=start))
         pred = (prob[:, 1] >= 0.5).astype(np.uint8)
         counts = counts + confusion_counts(pred, y[i:i + batch_size])
     return report_from_counts(counts)
@@ -147,11 +151,11 @@ def _frozen_features(model, samples, stop, batch_size):
     x, y = stack_samples(samples)
     if not stop:
         return x, y
-    first = model.walk(x[:batch_size], stop=stop)
+    first = model.forward(x[:batch_size], stop=stop)
     out = np.empty((x.shape[0],) + first.shape[1:], dtype=first.dtype)
     out[:batch_size] = first
     for i in range(batch_size, x.shape[0], batch_size):
-        out[i:i + batch_size] = model.walk(x[i:i + batch_size], stop=stop)
+        out[i:i + batch_size] = model.forward(x[i:i + batch_size], stop=stop)
     return out, y
 
 

@@ -3,6 +3,7 @@
 import math
 import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -31,6 +32,27 @@ def two_blas_threads():
         yield
     finally:
         set_blas_threads(before)
+
+
+def spy_on_walks(model):
+    """Record (rows, thread name, tape given, start, stop) of every walk
+    the model makes; returns the list."""
+    calls, walk = [], model.walk
+
+    def spy(x, tape=None, start=0, stop=None):
+        calls.append((len(x), threading.current_thread().name,
+                      tape is not None, start, stop))
+        return walk(x, tape, start, stop)
+
+    model.walk = spy
+    return calls
+
+
+def forward_chunks(n):
+    """Rows of each walk that forward(n patches) makes: the fewest chunks
+    of at most 8, sizes differing by at most one, larger ones first."""
+    count = -(-n // 8)
+    return [n // count + (i < n % count) for i in range(count)]
 
 
 def ieee_to_ibm_word(value):

@@ -266,6 +266,19 @@ def test_predict_raw_emits_pgm_with_section_dims(workspace, raw_section, tmp_pat
     assert read_pgm(out).shape == (30, 30)
 
 
+def test_predict_reports_window_coverage(workspace, tmp_path):
+    """20-pixel windows at stride 10 start at rows and columns 0, 10 and
+    20 of a 45x45 section, so the last 5 rows and columns stay uncovered."""
+    path = tmp_path / "sec45.f32"
+    write_raw_section(Prng(56).uniform(-1.0, 1.0, (45, 45)), path)
+    r = run_cli("predict", "--ckpt", workspace["ckpt"], "--raw", path,
+                "--height", "45", "--width", "45", "--out", tmp_path / "m.pgm")
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[-2].startswith("wrote pgm confidence map 45x45 to ")
+    assert lines[-1] == "9 windows cover 1600 of 2025 pixels"
+
+
 def test_predict_rerun_is_byte_identical(workspace, raw_section, tmp_path):
     outs = []
     for name in ("m1.pgm", "m2.pgm"):

@@ -11,7 +11,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import chunked_step, relative_error
+from conftest import (
+    chunked_step,
+    forward_chunks,
+    relative_error,
+    spy_on_walks,
+)
 from seishet.errors import (
     ConfigError,
     DataError,
@@ -563,60 +568,41 @@ def test_every_step_gives_a_float32_patch_the_same_bits_in_any_batch(variant):
         x = whole
 
 
-def _spy_on_walks(model):
-    """Record (rows, thread name) of every walk call; returns the list."""
-    calls, walk = [], model.walk
-
-    def spy(x, *args, **kwargs):
-        calls.append((len(x), threading.current_thread().name))
-        return walk(x, *args, **kwargs)
-
-    model.walk = spy
-    return calls
-
-
-def _chunks(n):
-    """Rows of each walk that forward(n patches) makes: the fewest chunks
-    of at most 8, sizes differing by at most one, larger ones first."""
-    count = -(-n // 8)
-    return [n // count + (i < n % count) for i in range(count)]
-
-
 @pytest.mark.parametrize("variant", ["se", "self_attention"])
 def test_fanned_out_forward_equals_the_serial_walk(variant, two_blas_threads):
     model = build_network(variant, Prng(50))
     serial = model.walk
-    calls = _spy_on_walks(model)
+    calls = spy_on_walks(model)
     x = Prng(51).normal(size=(77, 1, 44, 44)).astype(np.float32)
     for n in (1, 2, 7, 13, 64, 77):
         calls.clear()
         assert model.forward(x[:n]).tobytes() == serial(x[:n]).tobytes(), n
-        assert [rows for rows, _ in calls] == _chunks(n)
-        workers = {name.startswith("seishet-forward") for _, name in calls}
+        assert [rows for rows, *_ in calls] == forward_chunks(n)
+        workers = {name.startswith("seishet-forward") for _, name, *_ in calls}
         assert workers == {n > 8}
     for start, stop in ((0, 6), (3, 11), (11, None)):
         features = serial(x, stop=start)
         calls.clear()
         got = model.forward(features, start=start, stop=stop)
         assert got.tobytes() == serial(features, start=start, stop=stop).tobytes()
-        assert [rows for rows, _ in calls] == _chunks(77)
+        assert [rows for rows, *_ in calls] == forward_chunks(77)
     assert blas_threads() == 2
 
 
 def test_one_blas_thread_walks_on_the_calling_thread(two_blas_threads):
     model = build_network("self_attention", Prng(52))
-    calls = _spy_on_walks(model)
+    calls = spy_on_walks(model)
     x = Prng(53).normal(size=(20, 1, 44, 44)).astype(np.float32)
     set_blas_threads(1)
     model.forward(x)
-    assert calls == [(20, threading.current_thread().name)]
+    assert calls == [(20, threading.current_thread().name, False, 0, None)]
 
 
 def test_float64_forward_walks_on_the_calling_thread(two_blas_threads):
     model = build_network("se", Prng(54), dtype=np.float64)
-    calls = _spy_on_walks(model)
+    calls = spy_on_walks(model)
     model.forward(Prng(55).normal(size=(20, 1, 44, 44)))
-    assert calls == [(20, threading.current_thread().name)]
+    assert calls == [(20, threading.current_thread().name, False, 0, None)]
 
 
 @pytest.mark.parametrize("variant,path", [("self_attention", ("up1",)),
@@ -638,14 +624,14 @@ def test_a_replaced_layer_method_walks_on_the_calling_thread(
         return method(*args, **kwargs)
 
     layer.forward = wrapper
-    calls = _spy_on_walks(model)
+    calls = spy_on_walks(model)
     assert model.forward(x).tobytes() == want
     caller = threading.current_thread().name
-    assert calls == [(20, caller)] and seen == [caller]
+    assert calls == [(20, caller, False, 0, None)] and seen == [caller]
     del layer.forward
     calls.clear()
     model.forward(x)
-    assert [rows for rows, _ in calls] == _chunks(20)
+    assert [rows for rows, *_ in calls] == forward_chunks(20)
 
 
 def test_a_new_worker_count_shuts_the_old_pool_down():

@@ -1,9 +1,13 @@
 """Optimizer algebra, split/shuffle determinism, and the training loops."""
 
+import threading
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from conftest import reference_train
+from conftest import forward_chunks, reference_train, spy_on_walks
 from seishet.errors import DataError, DimensionError, EvaluationError
 from seishet.layers import cross_entropy_2class
 from seishet.model import build_network, save_checkpoint
@@ -240,6 +244,19 @@ def test_finetune_on_rescaled_patches_reduces_loss():
     assert after < before
 
 
+def test_stack_samples_builds_each_array_once():
+    samples = generate_dataset(SyntheticConfig(sections=8, seed=5))
+    tracemalloc.start()
+    try:
+        x, y = stack_samples(samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (len(samples), 1, 44, 44) and x.dtype == np.float32
+    assert y.shape == (len(samples), 44, 44) and y.dtype == np.uint8
+    assert peak <= 1.1 * (x.nbytes + y.nbytes), (peak, x.nbytes + y.nbytes)
+
+
 def test_evaluate_batched_is_batch_size_invariant():
     samples = _tiny_dataset()
     model = build_network("se", Prng(39))
@@ -349,3 +366,47 @@ def test_checkpoints_and_logs_do_not_depend_on_the_blas_thread_count(
     one = _fit_at_threads(fit, variant, prefix, 1, tmp_path)
     assert one[0] == two[0]
     assert one[1] == two[1]
+
+
+def _spied_finetune(tmp_path, hooked):
+    """(walk calls, checkpoint bytes, epoch-log bytes) of a prefix-2
+    finetune on 30 patches at batch 20 with 10 held out; with `hooked`,
+    a wrapper is set on up1's forward first."""
+    samples = generate_dataset(SyntheticConfig(sections=3, seed=4))[:40]
+    model = build_network("se", Prng(42))
+    if hooked:
+        layer = dict(model._layers)["up1"]
+        method = layer.forward
+        layer.forward = lambda *args, **kwargs: method(*args, **kwargs)
+    calls = spy_on_walks(model)
+    config = TrainConfig(epochs=2, batch_size=20, shuffle_seed=6,
+                         freeze_prefix=2)
+    _, stats = finetune(model, samples[:30], config, samples[30:])
+    path = tmp_path / ("hooked.ckpt" if hooked else "pool.ckpt")
+    save_checkpoint(model, str(path))
+    log = "".join(entry.format_line() + "\n" for entry in stats)
+    return calls, path.read_bytes(), log.encode()
+
+
+def test_cached_features_and_evaluation_run_patch_parallel(
+        tmp_path, two_blas_threads):
+    """The feature pass (batches of 20 and 10, then the 10 held out) stops
+    at step 3, after stage 1's pool; each epoch evaluates the 10 held-out
+    features from there. All of them fan out in forward's chunks."""
+    calls, ckpt, log = _spied_finetune(tmp_path, hooked=False)
+    untaped = [c for c in calls if not c[2]]
+    assert all(name.startswith("seishet-forward") for _, name, *_ in untaped)
+    features = [(n, 0, 3)
+                for n in forward_chunks(20) + forward_chunks(10) * 2]
+    evaluation = [(n, 3, None) for n in forward_chunks(10) * 2]
+    assert (Counter((rows, start, stop) for rows, _, _, start, stop in untaped)
+            == Counter(features + evaluation))
+    hooked_calls, hooked_ckpt, hooked_log = _spied_finetune(tmp_path,
+                                                            hooked=True)
+    caller = threading.current_thread().name
+    assert {name for _, name, *_ in hooked_calls} == {caller}
+    assert [(rows, start, stop) for rows, _, taped, start, stop
+            in hooked_calls if not taped] == [
+        (20, 0, 3), (10, 0, 3), (10, 0, 3), (10, 3, None), (10, 3, None)]
+    assert hooked_ckpt == ckpt
+    assert hooked_log == log
