@@ -16,21 +16,20 @@ Parameters are enumerated in a fixed order under dotted names
 ("stage1.conv1.weight", "attention.attn.wq", ...). That order also defines
 the checkpoint record order and the freeze-prefix layer list.
 
-A float32 batch runs patch-parallel, in inference and in training, on a
-thread pool of one worker per OpenBLAS thread, with OpenBLAS held at one
-thread meanwhile. `HetNet.forward` cuts it into near-equal chunks of at
-most _CHUNK patches. Every step gives a float32 patch the same bits alone
-as in any batch, and the float32 walk does not depend on the OpenBLAS
-thread count, so the logits equal those of one walk over the whole batch.
-`HetNet.loss_and_grads` cuts it into fixed chunks of _CHUNK patches, walks
-each forward and back at one OpenBLAS thread and sums the gradients in
-chunk order, so a training step, and with it a checkpoint, is the same on
-one or two OpenBLAS threads and with or without the pool. Float64 models
-stay serial: their walk rounds by thread count. A model with
-a layer method replaced on the instance (a hook or a profiler's wrapper),
-which may not be safe to call from two threads, runs on the calling
-thread: inference as one walk, training as the same chunks at one
-OpenBLAS thread.
+Every batch, float32 or float64, runs patch-parallel, in inference and in
+training, on a thread pool of one worker per OpenBLAS thread, with
+OpenBLAS held at one thread meanwhile. `HetNet.forward` cuts it into
+near-equal chunks of at most _CHUNK patches. Every step gives a patch the
+same bits alone as in any batch, so the logits equal those of one walk
+over the whole batch at one OpenBLAS thread (a float32 walk gives them at
+any thread count). `HetNet.loss_and_grads` cuts it into fixed
+chunks of _CHUNK patches, walks each forward and back at one OpenBLAS
+thread and sums the gradients in chunk order, so a training step, and
+with it a checkpoint, is the same on one or two OpenBLAS threads and with
+or without the pool. A batch of one chunk, a run with one worker and a
+model with a layer method replaced on the instance (a hook or a
+profiler's wrapper, which may not be safe to call from two threads) run
+the same chunks on the calling thread, still at one OpenBLAS thread.
 """
 
 import contextvars
@@ -150,10 +149,9 @@ class HetNet:
     a flag for the GeLU that follows it, the max-pool steps and the concat
     skip. `walk` runs it on the calling thread, keeping nothing or each
     step's cache on a tape, and `backward` walks such a tape backwards;
-    `forward` runs it patch-parallel for a float32 batch of more than
-    _CHUNK patches; `loss_and_grads` walks with a tape and back, chunk by
-    chunk for a float32 batch. All can start at a later step from the
-    activation that enters it, such as the frozen-prefix features
+    `forward` runs it patch-parallel, chunk by chunk; `loss_and_grads`
+    walks each chunk with a tape and back. All can start at a later step
+    from the activation that enters it, such as the frozen-prefix features
     `frozen_steps` marks.
     """
 
@@ -267,60 +265,51 @@ class HetNet:
                 tape.append(cache)
         return x
 
-    def _in_chunks(self, task, chunks, whole=None):
+    def _in_chunks(self, task, chunks):
         """[task(*args) for args in chunks] at one OpenBLAS thread, in order.
 
         The chunks run on this process's pool of min(OpenBLAS threads,
-        usable CPUs) workers. With one worker, or with a layer method
+        usable CPUs) workers. With one chunk, one worker, or a layer method
         replaced on the instance (a hook or a profiler's wrapper, which need
-        not be thread-safe), they run on the calling thread instead; there,
-        when `whole` is given, the result is [whole()] at the thread count
-        in effect. One lock lets one caller hold OpenBLAS at one thread at a
-        time; the count is restored afterwards, also when a chunk raises.
-        Workers run under the caller's `np.errstate`.
+        not be thread-safe), they run on the calling thread instead. One
+        lock lets one caller hold OpenBLAS at one thread at a time; the
+        count is restored afterwards, also when a chunk raises. Workers run
+        under the caller's `np.errstate`.
         """
         hooked = any(_hooked(layer) for _, layer in self._layers)
         with _FANOUT_LOCK:
             threads = blas_threads()
-            workers = 1 if hooked else min(threads,
-                                           len(os.sched_getaffinity(0)))
-            if workers > 1 or whole is None:
-                set_blas_threads(1)
-                try:
-                    if workers == 1:
-                        return [task(*args) for args in chunks]
-                    pool = _executor(workers)
-                    # a copy of the caller's context carries its np.errstate
-                    parts = [pool.submit(contextvars.copy_context().run, task,
-                                         *args) for args in chunks]
-                    wait(parts)
-                    return [p.result() for p in parts]
-                finally:
-                    set_blas_threads(threads)
-        return [whole()]
+            workers = min(threads, len(os.sched_getaffinity(0)))
+            set_blas_threads(1)
+            try:
+                if hooked or workers == 1 or len(chunks) == 1:
+                    return [task(*args) for args in chunks]
+                pool = _executor(workers)
+                # a copy of the caller's context carries its np.errstate
+                parts = [pool.submit(contextvars.copy_context().run, task,
+                                     *args) for args in chunks]
+                wait(parts)
+                return [p.result() for p in parts]
+            finally:
+                set_blas_threads(threads)
 
     def forward(self, x, start=0, stop=None):
         """Steps start..stop-1 on x, the activation entering step `start`.
 
         By default: logits (B,2,44,44) for a batch of normalized patches.
-        A float32 batch of more than _CHUNK patches is walked in the fewest
-        near-equal chunks of at most _CHUNK by min(OpenBLAS threads, usable
-        CPUs) workers, with OpenBLAS held at one thread until they finish.
-        That count is process-wide: while a fan-out runs, a float64 `walk`
-        or `loss_and_grads` on another thread also gets one OpenBLAS thread,
-        and its results may then differ in the last bits. Float32 training
-        always runs at one thread, so it is not affected. With one worker,
-        or with a layer method replaced on the instance, it is one `walk` on
-        the calling thread.
+        The batch is walked in the fewest near-equal chunks of at most
+        _CHUNK patches (see `_in_chunks`), with OpenBLAS held at one thread
+        until they finish. That count is process-wide: while a fan-out
+        runs, a direct `walk` on another thread also gets one OpenBLAS
+        thread, and its float64 results may then differ in the last bits.
         """
         if start == 0:
             x = self._checked(x)
-        if self.dtype != np.float32 or len(x) <= _CHUNK:
-            return self.walk(x, start=start, stop=stop)
-        chunks = [(chunk, None, start, stop)
-                  for chunk in np.array_split(x, -(-len(x) // _CHUNK))]
-        parts = self._in_chunks(self.walk, chunks,
-                                lambda: self.walk(x, start=start, stop=stop))
+        # a batch of one chunk is passed on whole, not as a slice of itself
+        batches = ([x] if len(x) <= _CHUNK
+                   else np.array_split(x, -(-len(x) // _CHUNK)))
+        parts = self._in_chunks(self.walk, [(b, None, start, stop)
+                                            for b in batches])
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def loss_and_grads(self, x, target, pos_weight=None, start=0):
@@ -331,21 +320,18 @@ class HetNet:
         logits, grads) where grads maps the name of every parameter the
         walk passed, and only those, to its gradient.
 
-        A float32 batch is cut into consecutive chunks of _CHUNK patches
-        (the last may be smaller), whatever the worker count. Each chunk is
+        The batch is cut into consecutive chunks of _CHUNK patches (the
+        last may be smaller), whatever the worker count. Each chunk is
         walked, scored against the whole batch's loss normalizer and walked
         back at one OpenBLAS thread, on `forward`'s pool or on the calling
         thread (see `_in_chunks`), and its tape is freed when its backward
         walk ends. Losses and gradients are summed in chunk order, so the
-        result depends on neither the thread count nor the pool. A float64
-        batch is walked whole at the thread count in effect.
+        result depends on neither the thread count nor the pool.
         """
         if start == 0:
             x = self._checked(x)
         target = np.asarray(target)
         norm = loss_normalizer((len(x), 2, PATCH, PATCH), target, pos_weight)
-        if self.dtype != np.float32:
-            return self._step(x, target, pos_weight, norm, start)
         cuts = range(0, len(x), _CHUNK)
         chunks = ([(x[i:i + _CHUNK], target[i:i + _CHUNK], pos_weight, norm,
                     start) for i in cuts] if len(cuts) > 1

@@ -3,11 +3,10 @@
 Training is fully deterministic given seeds: the epoch shuffle for epoch
 e comes from Prng(shuffle_seed).derive(e), batches walk the permutation
 in order, and each gradient reduction runs in an order fixed by batch
-shape alone. A float32 step walks fixed 8-patch chunks at one OpenBLAS
-thread, fanned out over the CPUs, and sums their gradients in chunk order
+shape alone. A step walks fixed 8-patch chunks at one OpenBLAS thread,
+fanned out over the CPUs, and sums their gradients in chunk order
 (`HetNet.loss_and_grads`), so checkpoints and epoch logs are the same on
-one or two OpenBLAS threads; a float64 model walks each batch whole at
-the thread count in effect. Frozen parameters are skipped entirely by
+one or two OpenBLAS threads. Frozen parameters are skipped entirely by
 the optimizer, moments included.
 
 The leading steps a freeze prefix leaves without a trainable parameter
@@ -17,9 +16,9 @@ features. In float32 and in float64 every step gives a patch the same
 bits alone as in any batch, so the checkpoint and epoch log equal those
 of running the whole network per step.
 
-The cached features and each evaluation go through `HetNet.forward`, so a
-float32 batch of them also runs patch-parallel; its logits and features
-keep the serial walk's bytes.
+The cached features and each evaluation go through `HetNet.forward`, so
+they also run patch-parallel; their logits and features keep the serial
+walk's bytes.
 """
 
 from dataclasses import dataclass, field

@@ -1,5 +1,6 @@
 """Shared fixture builders and reference oracles for the test suite."""
 
+import contextlib
 import math
 import os
 import struct
@@ -29,6 +30,17 @@ def two_blas_threads():
     try:
         if blas_threads() != 2 or len(os.sched_getaffinity(0)) < 2:
             pytest.skip("needs numpy's bundled OpenBLAS and two CPUs")
+        yield
+    finally:
+        set_blas_threads(before)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """numpy's OpenBLAS at one thread inside the block."""
+    before = blas_threads()
+    set_blas_threads(1)
+    try:
         yield
     finally:
         set_blas_threads(before)
@@ -241,17 +253,15 @@ def reference_train(model, samples, config, heldout=None):
 def chunked_step(model, x, target, pos_weight=None, start=0):
     """loss_and_grads as a serial loop over 8-patch chunks at one BLAS thread.
 
-    The oracle for the float32 training step: each chunk is walked from
-    step `start`, scored against the whole batch's loss normalizer and
-    walked back on the calling thread, and losses and gradients are added
-    in chunk order. Returns (loss, logits, grads).
+    The oracle for the training step: each chunk is walked from step
+    `start`, scored against the whole batch's loss normalizer and walked
+    back on the calling thread, and losses and gradients are added in chunk
+    order. Returns (loss, logits, grads).
     """
     norm = (target.size if pos_weight is None
             else np.where(target == 1, float(pos_weight), 1.0).sum())
-    before = blas_threads()
-    set_blas_threads(1)
-    try:
-        loss, logits, grads = 0.0, [], {}
+    loss, logits, grads = 0.0, [], {}
+    with one_blas_thread():
         for i in range(0, len(x), 8):
             tape = []
             out = model.walk(x[i:i + 8], tape, start)
@@ -261,6 +271,4 @@ def chunked_step(model, x, target, pos_weight=None, start=0):
             logits.append(out)
             for name, pg in model.backward(tape, g, start).items():
                 grads[name] = grads[name] + pg if name in grads else pg
-    finally:
-        set_blas_threads(before)
     return loss, np.concatenate(logits), grads

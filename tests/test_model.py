@@ -14,6 +14,7 @@ import pytest
 from conftest import (
     chunked_step,
     forward_chunks,
+    one_blas_thread,
     relative_error,
     spy_on_walks,
 )
@@ -570,23 +571,31 @@ def test_every_step_gives_a_float32_patch_the_same_bits_in_any_batch(variant):
 
 @pytest.mark.parametrize("variant", ["se", "self_attention"])
 def test_fanned_out_forward_equals_the_serial_walk(variant, two_blas_threads):
-    model = build_network(variant, Prng(50))
-    serial = model.walk
-    calls = spy_on_walks(model)
-    x = Prng(51).normal(size=(77, 1, 44, 44)).astype(np.float32)
-    for n in (1, 2, 7, 13, 64, 77):
-        calls.clear()
-        assert model.forward(x[:n]).tobytes() == serial(x[:n]).tobytes(), n
-        assert [rows for rows, *_ in calls] == forward_chunks(n)
-        workers = {name.startswith("seishet-forward") for _, name, *_ in calls}
-        assert workers == {n > 8}
-    for start, stop in ((0, 6), (3, 11), (11, None)):
-        features = serial(x, stop=start)
-        calls.clear()
-        got = model.forward(features, start=start, stop=stop)
-        assert got.tobytes() == serial(features, start=start, stop=stop).tobytes()
-        assert [rows for rows, *_ in calls] == forward_chunks(77)
-    assert blas_threads() == 2
+    """In float32 and float64, against the serial walk at one OpenBLAS
+    thread: a float64 walk rounds by thread count, a float32 one does not."""
+    for dtype in (np.float32, np.float64):
+        model = build_network(variant, Prng(50), dtype=dtype)
+        serial = model.walk
+        calls = spy_on_walks(model)
+        x = Prng(51).normal(size=(77, 1, 44, 44)).astype(dtype)
+        for n in (1, 2, 7, 13, 64, 77):
+            with one_blas_thread():
+                want = serial(x[:n]).tobytes()
+            calls.clear()
+            assert model.forward(x[:n]).tobytes() == want, (dtype, n)
+            assert [rows for rows, *_ in calls] == forward_chunks(n)
+            workers = {name.startswith("seishet-forward")
+                       for _, name, *_ in calls}
+            assert workers == {n > 8}
+        for start, stop in ((0, 6), (3, 11), (11, None)):
+            with one_blas_thread():
+                features = serial(x, stop=start)
+                want = serial(features, start=start, stop=stop).tobytes()
+            calls.clear()
+            assert model.forward(features, start=start, stop=stop).tobytes() \
+                == want, (dtype, start)
+            assert [rows for rows, *_ in calls] == forward_chunks(77)
+        assert blas_threads() == 2
 
 
 def test_one_blas_thread_walks_on_the_calling_thread(two_blas_threads):
@@ -595,14 +604,35 @@ def test_one_blas_thread_walks_on_the_calling_thread(two_blas_threads):
     x = Prng(53).normal(size=(20, 1, 44, 44)).astype(np.float32)
     set_blas_threads(1)
     model.forward(x)
-    assert calls == [(20, threading.current_thread().name, False, 0, None)]
+    caller = threading.current_thread().name
+    assert calls == [(n, caller, False, 0, None) for n in forward_chunks(20)]
 
 
-def test_float64_forward_walks_on_the_calling_thread(two_blas_threads):
+def test_float64_batches_fan_out_at_one_blas_thread(two_blas_threads):
+    """forward and loss_and_grads of a float64 model walk their chunks on
+    the pool at one OpenBLAS thread, so their bytes match a run at one."""
     model = build_network("se", Prng(54), dtype=np.float64)
-    calls = spy_on_walks(model)
-    model.forward(Prng(55).normal(size=(20, 1, 44, 44)))
-    assert calls == [(20, threading.current_thread().name, False, 0, None)]
+    x, y = _patches_and_masks(55, 20)
+    with one_blas_thread():
+        want = model.forward(x).tobytes()
+        loss, logits, grads = model.loss_and_grads(x, y)
+    calls, walk = [], model.walk
+
+    def spy(x, tape=None, start=0, stop=None):
+        calls.append((len(x), threading.current_thread().name, blas_threads()))
+        return walk(x, tape, start, stop)
+
+    model.walk = spy
+    assert model.forward(x).tobytes() == want
+    got = model.loss_and_grads(x, y)
+    assert got[0] == loss and got[1].tobytes() == logits.tobytes()
+    assert sorted(got[2]) == sorted(grads)
+    for name, g in got[2].items():
+        assert g.tobytes() == grads[name].tobytes(), name
+    assert [rows for rows, *_ in calls] == forward_chunks(20) + [8, 8, 4]
+    assert all(name.startswith("seishet-forward") and threads == 1
+               for _, name, threads in calls)
+    assert blas_threads() == 2
 
 
 @pytest.mark.parametrize("variant,path", [("self_attention", ("up1",)),
@@ -610,7 +640,8 @@ def test_float64_forward_walks_on_the_calling_thread(two_blas_threads):
 def test_a_replaced_layer_method_walks_on_the_calling_thread(
         variant, path, two_blas_threads):
     """A wrapper set on a layer or on a sub-layer it holds (a hook, a
-    profiler) may not be thread-safe, so forward runs it on one thread."""
+    profiler) may not be thread-safe, so forward runs its chunks on one
+    thread."""
     model = build_network(variant, Prng(63))
     x = Prng(64).normal(size=(20, 1, 44, 44)).astype(np.float32)
     want = model.walk(x).tobytes()
@@ -627,7 +658,8 @@ def test_a_replaced_layer_method_walks_on_the_calling_thread(
     calls = spy_on_walks(model)
     assert model.forward(x).tobytes() == want
     caller = threading.current_thread().name
-    assert calls == [(20, caller, False, 0, None)] and seen == [caller]
+    assert calls == [(n, caller, False, 0, None) for n in forward_chunks(20)]
+    assert seen == [caller] * len(calls)
     del layer.forward
     calls.clear()
     model.forward(x)
@@ -647,25 +679,48 @@ def test_a_new_worker_count_shuts_the_old_pool_down():
 
 
 def test_forward_restores_the_blas_thread_count(two_blas_threads):
+    """With one chunk on the calling thread and with several on the pool."""
     model = build_network("se", Prng(56))
     x = Prng(57).normal(size=(20, 1, 44, 44)).astype(np.float32)
+    for n in (5, 20):
+        model.forward(x[:n])
+        assert blas_threads() == 2
+        with pytest.raises(DimensionError):
+            model.forward(x[:n, :, :40])
+        assert blas_threads() == 2
+        # a wrong channel count met by stage2.conv1 in the walk
+        with pytest.raises(DimensionError, match="conv expects"):
+            model.forward(np.zeros((n, 3, 22, 22), np.float32), start=3)
+        assert blas_threads() == 2
+
+
+def test_batch_sizes_share_one_pool(two_blas_threads, monkeypatch):
+    """The pool's size follows the thread count, not the chunk count, so
+    no batch size makes `_executor` replace it."""
+    model = build_network("se", Prng(73))
+    x, y = _patches_and_masks(74, 20)
+    pools, executor = [], model_module._executor
+
+    def spy(workers):
+        pools.append(executor(workers))
+        return pools[-1]
+
+    monkeypatch.setattr(model_module, "_executor", spy)
+    model.forward(x[:5])
     model.forward(x)
-    assert blas_threads() == 2
-    with pytest.raises(DimensionError):
-        model.forward(x[:, :, :40])
-    assert blas_threads() == 2
-    # a wrong channel count met by stage2.conv1 in the workers
-    with pytest.raises(DimensionError, match="conv expects"):
-        model.forward(np.zeros((20, 3, 22, 22), np.float32), start=3)
-    assert blas_threads() == 2
+    model.loss_and_grads(x[:13], y[:13])
+    assert len(pools) == 2 and pools[0] is pools[1]
+    with _FANOUT_LOCK:
+        assert model_module._pool == {(os.getpid(), 2): pools[0]}
 
 
 def test_concurrent_forward_calls_get_the_serial_bytes(two_blas_threads):
     """More calling threads than CPUs, switching often: each call still
-    gets the serial walk's bytes and the thread count comes back."""
+    gets the serial walk's bytes and the thread count comes back. The
+    5-patch batch walks on its calling thread, under the same lock."""
     model = build_network("self_attention", Prng(58))
-    batches = [Prng(59 + i).normal(size=(12 + i, 1, 44, 44)).astype(np.float32)
-               for i in range(4)]
+    batches = [Prng(59 + i).normal(size=(n, 1, 44, 44)).astype(np.float32)
+               for i, n in enumerate((12, 13, 14, 15, 5))]
     want = [model.walk(b).tobytes() for b in batches]
     got = [[] for _ in batches]
     barrier = threading.Barrier(len(batches))
@@ -727,27 +782,29 @@ def _patches_and_masks(seed, n=32):
 
 @pytest.mark.parametrize("variant", ["se", "self_attention"])
 def test_training_step_equals_the_per_chunk_oracle(variant):
-    """Fixed 8-patch chunks summed in chunk order, from the input and from
-    the prefix-2 boundary, with and without a positive-class weight."""
-    model = build_network(variant, Prng(65))
+    """Fixed 8-patch chunks summed in chunk order, in float32 and float64,
+    from the input and from the prefix-2 boundary, with and without a
+    positive-class weight."""
     x, y = _patches_and_masks(66)
-    for prefix in (0, 2):
-        model.set_freeze_prefix(prefix)
-        start = model.frozen_steps()
-        features = model.walk(x, stop=start)
-        for n in (1, 8, 13, 32):
-            for pos_weight in (None, 3.0):
-                loss, logits, grads = model.loss_and_grads(
-                    features[:n], y[:n], pos_weight, start)
-                want = chunked_step(model, features[:n], y[:n], pos_weight,
-                                    start)
-                case = (prefix, n, pos_weight)
-                assert loss == want[0], case
-                assert logits.tobytes() == want[1].tobytes(), case
-                assert sorted(grads) == sorted(want[2]), case
-                for name, g in grads.items():
-                    assert g.tobytes() == want[2][name].tobytes(), (case, name)
-    model.set_freeze_prefix(0)
+    for dtype in (np.float32, np.float64):
+        model = build_network(variant, Prng(65), dtype=dtype)
+        for prefix in (0, 2):
+            model.set_freeze_prefix(prefix)
+            start = model.frozen_steps()
+            features = model.walk(x, stop=start)
+            for n in (1, 8, 13, 32):
+                for pos_weight in (None, 3.0):
+                    loss, logits, grads = model.loss_and_grads(
+                        features[:n], y[:n], pos_weight, start)
+                    want = chunked_step(model, features[:n], y[:n],
+                                        pos_weight, start)
+                    case = (dtype, prefix, n, pos_weight)
+                    assert loss == want[0], case
+                    assert logits.tobytes() == want[1].tobytes(), case
+                    assert sorted(grads) == sorted(want[2]), case
+                    for name, g in grads.items():
+                        assert g.tobytes() == want[2][name].tobytes(), \
+                            (case, name)
 
 
 def test_a_bad_target_is_rejected_before_the_batch_is_cut(two_blas_threads):
