@@ -19,10 +19,12 @@ the checkpoint record order and the freeze-prefix layer list.
 Every batch, float32 or float64, runs patch-parallel, in inference and in
 training, on a thread pool of one worker per OpenBLAS thread, with
 OpenBLAS held at one thread meanwhile. `HetNet.forward` cuts it into
-near-equal chunks of at most _CHUNK patches. Every step gives a patch the
-same bits alone as in any batch, so the logits equal those of one walk
-over the whole batch at one OpenBLAS thread (a float32 walk gives them at
-any thread count). `HetNet.loss_and_grads` cuts it into fixed
+near-equal chunks of at most _CHUNK patches. Their count is the smallest
+multiple of the worker count that allows this, capped at the batch size,
+so that a small batch still keeps every worker busy. Every step gives a
+patch the same bits alone as in any batch, so the logits equal those of
+one walk over the whole batch at one OpenBLAS thread (a float32 walk
+gives them at any thread count). `HetNet.loss_and_grads` cuts it into fixed
 chunks of _CHUNK patches, walks each forward and back at one OpenBLAS
 thread and sums the gradients in chunk order, so a training step, and
 with it a checkpoint, is the same on one or two OpenBLAS threads and with
@@ -265,21 +267,24 @@ class HetNet:
                 tape.append(cache)
         return x
 
-    def _in_chunks(self, task, chunks):
-        """[task(*args) for args in chunks] at one OpenBLAS thread, in order.
+    def _in_chunks(self, task, cut):
+        """[task(*args) for args in cut(workers)] at one OpenBLAS thread,
+        in order.
 
         The chunks run on this process's pool of min(OpenBLAS threads,
-        usable CPUs) workers. With one chunk, one worker, or a layer method
-        replaced on the instance (a hook or a profiler's wrapper, which need
-        not be thread-safe), they run on the calling thread instead. One
-        lock lets one caller hold OpenBLAS at one thread at a time; the
-        count is restored afterwards, also when a chunk raises. Workers run
-        under the caller's `np.errstate`.
+        usable CPUs) workers, a count `cut` may use to make them. With one
+        chunk, one worker, or a layer method replaced on the instance (a
+        hook or a profiler's wrapper, which need not be thread-safe), they
+        run on the calling thread instead. One lock lets one caller hold
+        OpenBLAS at one thread at a time; the count is restored afterwards,
+        also when a chunk raises. Workers run under the caller's
+        `np.errstate`.
         """
         hooked = any(_hooked(layer) for _, layer in self._layers)
         with _FANOUT_LOCK:
             threads = blas_threads()
             workers = min(threads, len(os.sched_getaffinity(0)))
+            chunks = cut(workers)
             set_blas_threads(1)
             try:
                 if hooked or workers == 1 or len(chunks) == 1:
@@ -297,19 +302,24 @@ class HetNet:
         """Steps start..stop-1 on x, the activation entering step `start`.
 
         By default: logits (B,2,44,44) for a batch of normalized patches.
-        The batch is walked in the fewest near-equal chunks of at most
-        _CHUNK patches (see `_in_chunks`), with OpenBLAS held at one thread
-        until they finish. That count is process-wide: while a fan-out
-        runs, a direct `walk` on another thread also gets one OpenBLAS
-        thread, and its float64 results may then differ in the last bits.
+        The batch is walked in near-equal chunks of at most _CHUNK
+        patches, as many as the smallest multiple of the worker count that
+        allows, capped at the batch size (see `_in_chunks`), with OpenBLAS
+        held at one thread until they finish. That count is process-wide:
+        while a fan-out runs, a direct `walk` on another thread also gets
+        one OpenBLAS thread, and its float64 results may then differ in the
+        last bits.
         """
         if start == 0:
             x = self._checked(x)
-        # a batch of one chunk is passed on whole, not as a slice of itself
-        batches = ([x] if len(x) <= _CHUNK
-                   else np.array_split(x, -(-len(x) // _CHUNK)))
-        parts = self._in_chunks(self.walk, [(b, None, start, stop)
-                                            for b in batches])
+
+        def cut(workers):
+            count = min(len(x), -(-len(x) // (_CHUNK * workers)) * workers)
+            # a batch of one chunk is passed on whole, not as a slice of itself
+            batches = [x] if count <= 1 else np.array_split(x, count)
+            return [(b, None, start, stop) for b in batches]
+
+        parts = self._in_chunks(self.walk, cut)
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def loss_and_grads(self, x, target, pos_weight=None, start=0):
@@ -336,7 +346,7 @@ class HetNet:
         chunks = ([(x[i:i + _CHUNK], target[i:i + _CHUNK], pos_weight, norm,
                     start) for i in cuts] if len(cuts) > 1
                   else [(x, target, pos_weight, norm, start)])
-        parts = self._in_chunks(self._step, chunks)
+        parts = self._in_chunks(self._step, lambda workers: chunks)
         loss, grads = 0.0, {}
         for part, _, part_grads in parts:
             loss += part

@@ -7,6 +7,11 @@ per GeLU for backward: the derivative that ``gelu_cache`` returns beside
 the activation, which ``gelu_grad_cached`` multiplies into the incoming
 gradient; the pre-activation itself is not kept.
 
+scipy loads only where one of its functions runs: ``sigmoid`` (SE
+attention's gates) calls ``scipy.special.expit``, and the float64
+branches of ``gelu``, ``gelu_grad`` and ``gelu_cache`` call its ``erf``.
+Importing this module, or a float32 GeLU, does not import scipy.
+
 Randomness is counter based so streams are reproducible and splittable.
 ``Prng`` wraps numpy's Philox bit generator keyed by a 64-bit seed. Child
 streams are derived by mixing (seed, index) through SplitMix64, using the
@@ -24,7 +29,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import erf, expit
 
 from .errors import DimensionError
 
@@ -146,6 +150,7 @@ def gelu(x):
     x = np.asarray(x)
     if x.dtype == np.float32:
         return _gelu_f32(x, ("value",))[0]
+    from scipy.special import erf
     return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
 
 
@@ -154,6 +159,7 @@ def gelu_grad(x):
     x = np.asarray(x)
     if x.dtype == np.float32:
         return _gelu_f32(x, ("grad",))[0]
+    from scipy.special import erf
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return cdf + x * pdf
@@ -168,6 +174,7 @@ def gelu_cache(x):
     x = np.asarray(x)
     if x.dtype == np.float32:
         return tuple(_gelu_f32(x, ("value", "grad")))
+    from scipy.special import erf
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     return x * cdf, cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
 
@@ -207,6 +214,7 @@ def set_blas_threads(count):
 
 def sigmoid(x):
     """Logistic function, computed without overflow for large |x|."""
+    from scipy.special import expit
     return expit(np.asarray(x))
 
 

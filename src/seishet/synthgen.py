@@ -6,6 +6,8 @@ faults that vertically offset one side of a dipping line. The faulted
 reflectivity is convolved per trace with a Ricker wavelet, Gaussian noise
 is added, and the section is cut into overlapping 44x44 patches normalized
 to [-1, 1]. The mask marks the rasterized (and dilated) fault lines.
+The dilation is a separable square in numpy, so generating sections does
+not import scipy.
 
 All randomness flows through one master seed: section i uses the derived
 stream Prng(seed).derive(i), so any section is reproducible in isolation
@@ -18,7 +20,6 @@ import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.ndimage import binary_dilation
 
 from .errors import ConfigError, DataError, DimensionError, FormatError
 from .numcore import Prng
@@ -167,10 +168,25 @@ def apply_faults(section, config, prng):
         cols = np.rint(line_x).astype(np.int64)
         rows_in = (cols >= 0) & (cols < w)
         mask[np.arange(h)[rows_in], cols[rows_in]] = True
-    if config.mask_dilation > 0 and mask.any():
-        size = 2 * config.mask_dilation + 1
-        mask = binary_dilation(mask, structure=np.ones((size, size), dtype=bool))
-    return out, mask.astype(np.uint8)
+    return out, _dilate_square(mask, config.mask_dilation).astype(np.uint8)
+
+
+def _dilate_square(mask, radius):
+    """A boolean mask dilated by a (2r+1)-pixel square, zero outside.
+
+    The square is separable: pad by r, OR together the 2r+1 column
+    shifts, then the 2r+1 row shifts of that. On booleans this equals
+    scipy.ndimage.binary_dilation with a (2r+1)^2 structure.
+    """
+    h, w = mask.shape
+    padded = np.pad(mask, radius)
+    rows = np.zeros((h + 2 * radius, w), dtype=bool)
+    for j in range(2 * radius + 1):
+        rows |= padded[:, j:j + w]
+    out = np.zeros((h, w), dtype=bool)
+    for i in range(2 * radius + 1):
+        out |= rows[i:i + h]
+    return out
 
 
 def ricker(peak_period, length):

@@ -60,10 +60,13 @@ def spy_on_walks(model):
     return calls
 
 
-def forward_chunks(n):
-    """Rows of each walk that forward(n patches) makes: the fewest chunks
-    of at most 8, sizes differing by at most one, larger ones first."""
+def forward_chunks(n, workers):
+    """Rows of each walk that forward(n patches) makes at `workers`
+    workers: chunks of at most 8, as many as the smallest multiple of
+    `workers` that allows, at most n, sizes differing by at most one,
+    larger ones first."""
     count = -(-n // 8)
+    count = min(n, -(-count // workers) * workers)
     return [n // count + (i < n % count) for i in range(count)]
 
 

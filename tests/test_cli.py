@@ -12,7 +12,7 @@ from conftest import write_raw_section, write_segy
 from seishet import cli
 from seishet import train as train_module
 from seishet.metrics import evaluate
-from seishet.model import count_params_flops, load_checkpoint
+from seishet.model import build_network, count_params_flops, load_checkpoint
 from seishet.numcore import Prng
 from seishet.pgm import read_pgm, write_pgm
 
@@ -509,3 +509,61 @@ def test_help_lists_subcommands():
     assert r.returncode == 0
     for name in ("gen", "train", "finetune", "predict", "eval", "info"):
         assert name in r.stdout
+
+
+# ---------------------------------------------------------------- cold start
+
+_COLD_START = r"""
+import os, sys, threading
+import numpy as np
+from seishet import attention, cli
+from seishet.model import build_network
+from seishet.numcore import Prng, set_blas_threads
+from seishet.pgm import write_pgm
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+root = sys.argv[1]
+path = lambda name: os.path.join(root, name)
+for argv in (
+        ["gen", "--out", path("data"), "--count", "2", "--seed", "7",
+         "--height", "88", "--width", "88"],
+        ["train", "--data", path("data"), "--out", path("m.ckpt"),
+         "--attention", "self", "--epochs", "1", "--seed", "3"],
+        ["predict", "--ckpt", path("m.ckpt"), "--raw", path("sec.f32"),
+         "--height", "30", "--width", "30", "--out", path("map.pgm")],
+        ["eval", "--pred", path("map.pgm"), "--truth", path("truth.pgm")]):
+    if argv[0] == "eval":
+        write_pgm(path("truth.pgm"), np.eye(30, dtype=np.uint8) * 255)
+    assert cli.main(argv) == 0, argv
+    assert scipy_loaded() == [], (argv[0], scipy_loaded())
+
+gates, sigmoid = [], attention.sigmoid
+def spy(x):
+    gates.append(threading.current_thread().name)
+    return sigmoid(x)
+attention.sigmoid = spy
+set_blas_threads(2)
+x = Prng(6).normal(size=(16, 1, 44, 44)).astype(np.float32)
+np.save(path("logits.npy"), build_network("se", Prng(5)).forward(x))
+assert gates and all(n.startswith("seishet-forward") for n in gates), gates
+assert "scipy.special" in scipy_loaded()
+"""
+
+
+def test_cold_start_imports_scipy_only_for_se_attention(tmp_path,
+                                                         two_blas_threads):
+    """A fresh interpreter runs gen, a self-attention train, predict and
+    eval without loading scipy; an SE forward at two workers then first
+    imports it on the pool threads and gives the logits of a process that
+    had scipy loaded from the start."""
+    import scipy.special  # noqa: F401 - this process imported scipy first
+    write_raw_section(Prng(55).uniform(-1.0, 1.0, (30, 30)),
+                      tmp_path / "sec.f32")
+    r = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path)],
+                       capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stderr
+    x = Prng(6).normal(size=(16, 1, 44, 44)).astype(np.float32)
+    want = build_network("se", Prng(5)).forward(x)
+    assert np.load(tmp_path / "logits.npy").tobytes() == want.tobytes()

@@ -578,15 +578,15 @@ def test_fanned_out_forward_equals_the_serial_walk(variant, two_blas_threads):
         serial = model.walk
         calls = spy_on_walks(model)
         x = Prng(51).normal(size=(77, 1, 44, 44)).astype(dtype)
-        for n in (1, 2, 7, 13, 64, 77):
+        for n in (1, 2, 7, 8, 13, 64, 77):
             with one_blas_thread():
                 want = serial(x[:n]).tobytes()
             calls.clear()
             assert model.forward(x[:n]).tobytes() == want, (dtype, n)
-            assert [rows for rows, *_ in calls] == forward_chunks(n)
+            assert [rows for rows, *_ in calls] == forward_chunks(n, 2)
             workers = {name.startswith("seishet-forward")
                        for _, name, *_ in calls}
-            assert workers == {n > 8}
+            assert workers == {n > 1}
         for start, stop in ((0, 6), (3, 11), (11, None)):
             with one_blas_thread():
                 features = serial(x, stop=start)
@@ -594,7 +594,7 @@ def test_fanned_out_forward_equals_the_serial_walk(variant, two_blas_threads):
             calls.clear()
             assert model.forward(features, start=start, stop=stop).tobytes() \
                 == want, (dtype, start)
-            assert [rows for rows, *_ in calls] == forward_chunks(77)
+            assert [rows for rows, *_ in calls] == forward_chunks(77, 2)
         assert blas_threads() == 2
 
 
@@ -605,7 +605,8 @@ def test_one_blas_thread_walks_on_the_calling_thread(two_blas_threads):
     set_blas_threads(1)
     model.forward(x)
     caller = threading.current_thread().name
-    assert calls == [(n, caller, False, 0, None) for n in forward_chunks(20)]
+    assert calls == [(n, caller, False, 0, None)
+                     for n in forward_chunks(20, 1)]
 
 
 def test_float64_batches_fan_out_at_one_blas_thread(two_blas_threads):
@@ -629,7 +630,7 @@ def test_float64_batches_fan_out_at_one_blas_thread(two_blas_threads):
     assert sorted(got[2]) == sorted(grads)
     for name, g in got[2].items():
         assert g.tobytes() == grads[name].tobytes(), name
-    assert [rows for rows, *_ in calls] == forward_chunks(20) + [8, 8, 4]
+    assert [rows for rows, *_ in calls] == forward_chunks(20, 2) + [8, 8, 4]
     assert all(name.startswith("seishet-forward") and threads == 1
                for _, name, threads in calls)
     assert blas_threads() == 2
@@ -658,12 +659,13 @@ def test_a_replaced_layer_method_walks_on_the_calling_thread(
     calls = spy_on_walks(model)
     assert model.forward(x).tobytes() == want
     caller = threading.current_thread().name
-    assert calls == [(n, caller, False, 0, None) for n in forward_chunks(20)]
+    assert calls == [(n, caller, False, 0, None)
+                     for n in forward_chunks(20, 2)]
     assert seen == [caller] * len(calls)
     del layer.forward
     calls.clear()
     model.forward(x)
-    assert [rows for rows, *_ in calls] == forward_chunks(20)
+    assert [rows for rows, *_ in calls] == forward_chunks(20, 2)
 
 
 def test_a_new_worker_count_shuts_the_old_pool_down():
@@ -682,7 +684,7 @@ def test_forward_restores_the_blas_thread_count(two_blas_threads):
     """With one chunk on the calling thread and with several on the pool."""
     model = build_network("se", Prng(56))
     x = Prng(57).normal(size=(20, 1, 44, 44)).astype(np.float32)
-    for n in (5, 20):
+    for n in (1, 20):
         model.forward(x[:n])
         assert blas_threads() == 2
         with pytest.raises(DimensionError):
@@ -709,7 +711,7 @@ def test_batch_sizes_share_one_pool(two_blas_threads, monkeypatch):
     model.forward(x[:5])
     model.forward(x)
     model.loss_and_grads(x[:13], y[:13])
-    assert len(pools) == 2 and pools[0] is pools[1]
+    assert len(pools) == 3 and pools[0] is pools[1] is pools[2]
     with _FANOUT_LOCK:
         assert model_module._pool == {(os.getpid(), 2): pools[0]}
 
@@ -717,10 +719,10 @@ def test_batch_sizes_share_one_pool(two_blas_threads, monkeypatch):
 def test_concurrent_forward_calls_get_the_serial_bytes(two_blas_threads):
     """More calling threads than CPUs, switching often: each call still
     gets the serial walk's bytes and the thread count comes back. The
-    5-patch batch walks on its calling thread, under the same lock."""
+    1-patch batch walks on its calling thread, under the same lock."""
     model = build_network("self_attention", Prng(58))
     batches = [Prng(59 + i).normal(size=(n, 1, 44, 44)).astype(np.float32)
-               for i, n in enumerate((12, 13, 14, 15, 5))]
+               for i, n in enumerate((12, 13, 14, 15, 1))]
     want = [model.walk(b).tobytes() for b in batches]
     got = [[] for _ in batches]
     barrier = threading.Barrier(len(batches))

@@ -8,12 +8,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.ndimage import binary_dilation
 
 from conftest import normalize_patch
 from seishet.errors import ConfigError, DataError, DimensionError, FormatError
 from seishet.numcore import Prng
 from seishet.synthgen import (
     SyntheticConfig,
+    _dilate_square,
     add_noise,
     apply_faults,
     apply_fold,
@@ -143,6 +145,26 @@ def test_fault_mask_is_binary_uint8():
     _, mask = apply_faults(Prng(10).normal(size=(64, 64)), cfg, Prng(11))
     assert mask.dtype == np.uint8
     assert set(np.unique(mask)) <= {0, 1}
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 4, 5])
+def test_square_dilation_equals_scipy_binary_dilation(radius):
+    """Against scipy.ndimage.binary_dilation with a (2r+1)^2 structure:
+    sparse and dense random masks, a mask touching every border and
+    corner, 1xN and Nx1 strips, a single pixel, all False and all True."""
+    gen = Prng(70 + radius)
+    masks = [gen.uniform(0.0, 1.0, shape) < density for shape, density in
+             (((37, 53), 0.02), ((20, 20), 0.3), ((59, 13), 0.1),
+              ((1, 31), 0.2), ((29, 1), 0.2))]
+    border = np.zeros((17, 23), dtype=bool)
+    border[[0, 0, 16, 16, 0, 16, 8, 4], [0, 22, 0, 22, 11, 5, 0, 22]] = True
+    masks += [border, np.ones((1, 1), dtype=bool),
+              np.zeros((12, 9), dtype=bool), np.ones((12, 9), dtype=bool)]
+    structure = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
+    for mask in masks:
+        want = binary_dilation(mask, structure=structure)
+        got = _dilate_square(mask, radius)
+        assert got.dtype == bool and np.array_equal(got, want), mask.shape
 
 
 def test_cross_correlation_across_fault_recovers_throw():

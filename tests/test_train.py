@@ -398,8 +398,8 @@ def test_cached_features_and_evaluation_run_patch_parallel(
     untaped = [c for c in calls if not c[2]]
     assert all(name.startswith("seishet-forward") for _, name, *_ in untaped)
     features = [(n, 0, 3)
-                for n in forward_chunks(20) + forward_chunks(10) * 2]
-    evaluation = [(n, 3, None) for n in forward_chunks(10) * 2]
+                for n in forward_chunks(20, 2) + forward_chunks(10, 2) * 2]
+    evaluation = [(n, 3, None) for n in forward_chunks(10, 2) * 2]
     assert (Counter((rows, start, stop) for rows, _, _, start, stop in untaped)
             == Counter(features + evaluation))
     hooked_calls, hooked_ckpt, hooked_log = _spied_finetune(tmp_path,
