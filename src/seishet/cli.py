@@ -19,6 +19,7 @@ from .model import (
     FLOP_CONVENTION,
     MAX_ATTENTION_SIZE,
     NetConfig,
+    PATCH,
     REFERENCE_KFLOPS,
     REFERENCE_PARAM_COUNT,
     build_network,
@@ -31,6 +32,8 @@ from .model import (
 from .numcore import Prng
 from .pgm import read_pgm, read_pgm_with_maxval
 from .segy import (
+    REAL_PATCH_SRC,
+    REAL_PATCH_STRIDE,
     export_map,
     open_volume,
     read_raw_section,
@@ -38,6 +41,7 @@ from .segy import (
     tile_predict,
 )
 from .synthgen import (
+    STRIDE,
     SyntheticConfig,
     generate_dataset,
     read_dataset,
@@ -126,7 +130,6 @@ def cmd_gen(args):
         wavelet_period=tuple(args.wavelet_period),
         noise=tuple(args.noise),
         mask_dilation=args.mask_dilation,
-        patch=args.patch,
         stride=args.stride,
         seed=seed,
     )
@@ -225,25 +228,26 @@ def cmd_predict(args):
         if args.height is None or args.width is None:
             raise ConfigError("--raw requires --height and --width")
         section = read_raw_section(args.raw, args.height, args.width)
-    prob_map = tile_predict(model, section, src=args.src, stride=args.stride,
-                            batch_size=args.batch)
+    prob_map = tile_predict(model, section, stride=args.stride, batch_size=args.batch)
     export_map(prob_map, args.out, args.format)
     print(
         "wrote %s confidence map %dx%d to %s"
         % (args.format, prob_map.shape[0], prob_map.shape[1], args.out)
     )
-    corners = window_corners(*prob_map.shape, args.src, args.stride)
+    corners = window_corners(*prob_map.shape, REAL_PATCH_SRC, args.stride)
     covered = np.zeros(prob_map.shape, dtype=bool)
     for y, x in corners:
-        covered[y:y + args.src, x:x + args.src] = True
+        covered[y:y + REAL_PATCH_SRC, x:x + REAL_PATCH_SRC] = True
     print("%d windows cover %d of %d pixels"
           % (len(corners), covered.sum(), covered.size))
     return 0
 
 
 def _load_map(path):
-    """A [0, 1] confidence map from a PGM (scaled by its maxval) or a CSV."""
-    if path.endswith(".pgm"):
+    """A [0, 1] confidence map: a PGM by its P5 magic, scaled by its maxval, or a CSV."""
+    with open(path, "rb") as fh:
+        magic = fh.read(2)
+    if magic == b"P5":
         pixels, maxval = read_pgm_with_maxval(path)
         return pixels.astype(np.float64) / maxval
     with warnings.catch_warnings():
@@ -286,7 +290,7 @@ def cmd_info(args):
         )
     total_params, total_flops = count_params_flops(model)
     print("total trainable parameters: %d" % total_params)
-    print("per-layer flops (one 44x44 patch):")
+    print("per-layer flops (one %dx%d patch):" % (PATCH, PATCH))
     for lname, pcount, fl in flops_table(model):
         print("  %-14s %12d" % (lname, fl))
     print("total flops: %d (%.3f kflops)" % (total_flops, total_flops / 1000.0))
@@ -353,8 +357,7 @@ def build_parser():
     p.add_argument("--noise", nargs=2, type=float, default=[0.0, 0.10],
                    metavar=("MIN", "MAX"), help="noise sigma as fraction of rms")
     p.add_argument("--mask-dilation", type=_nonneg_int, default=1)
-    p.add_argument("--patch", type=_positive_int, default=44)
-    p.add_argument("--stride", type=_positive_int, default=22)
+    p.add_argument("--stride", type=_positive_int, default=STRIDE)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("train", help="train a model on a patch dataset")
@@ -412,9 +415,7 @@ def build_parser():
     p.add_argument("--crossline-byte", type=_positive_int, default=193)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("pgm", "csv"), default="pgm")
-    p.add_argument("--src", type=_positive_int, default=20,
-                   help="window size on the section grid")
-    p.add_argument("--stride", type=_positive_int, default=10)
+    p.add_argument("--stride", type=_positive_int, default=REAL_PATCH_STRIDE)
     p.add_argument("--batch", type=_positive_int, default=64)
     p.set_defaults(func=cmd_predict)
 

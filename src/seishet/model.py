@@ -67,8 +67,8 @@ from .numcore import (
     set_blas_threads,
 )
 
-PATCH = 44
-GRID = 11
+PATCH = 44  # network input side: every synthetic patch and upscaled real window
+GRID = PATCH // 4
 VARIANTS = ("se", "self_attention")
 
 # Largest se_ratio, heads, d_k or d_v that train accepts and a checkpoint
@@ -82,7 +82,8 @@ _VARIANT_NAME = {code: name for name, code in _VARIANT_CODE.items()}
 
 FLOP_CONVENTION = (
     "multiply-accumulate = 2 flops, bias add = 1, elementwise gate multiply"
-    " = 1; activations, softmax and pooling excluded; one 44x44 patch"
+    " = 1; activations, softmax and pooling excluded; one %dx%d patch"
+    % (PATCH, PATCH)
 )
 
 # Figures reported for the originally published configuration, shown for
@@ -225,15 +226,9 @@ class HetNet:
 
     def _checked(self, x):
         x = np.asarray(x, dtype=self.dtype)
-        if x.ndim != 4 or x.shape[1] != 1:
+        if x.shape[1:] != (1, PATCH, PATCH):
             raise DimensionError(
-                "network expects (B,1,%d,%d), got %s" % (PATCH, PATCH, (x.shape,))
-            )
-        if x.shape[2] != PATCH or x.shape[3] != PATCH:
-            raise DimensionError(
-                "network is built for %dx%d patches, got %dx%d"
-                % (PATCH, PATCH, x.shape[2], x.shape[3])
-            )
+                "network expects (B,1,%d,%d), got %s" % (PATCH, PATCH, (x.shape,)))
         return x
 
     def walk(self, x, tape=None, start=0, stop=None):
@@ -439,23 +434,23 @@ def _attention_flops(model):
 
 
 def flops_table(model):
-    """(layer, params, flops) rows for one 44x44 forward pass.
+    """(layer, params, flops) rows for one PATCH x PATCH forward pass.
 
     Convention: see FLOP_CONVENTION. Counts are exact under that convention,
     not a hardware estimate. Parameter counts are the layers' tensor sizes.
     """
-    g = GRID
+    p, h, g = PATCH, PATCH // 2, GRID
     flops = {
-        "stage1.conv1": _conv_flops(1, 20, 3, 44, 44),
-        "stage1.conv2": _conv_flops(20, 20, 3, 44, 44),
-        "stage2.conv1": _conv_flops(20, 50, 3, 22, 22),
-        "stage2.conv2": _conv_flops(50, 50, 3, 22, 22),
+        "stage1.conv1": _conv_flops(1, 20, 3, p, p),
+        "stage1.conv2": _conv_flops(20, 20, 3, p, p),
+        "stage2.conv1": _conv_flops(20, 50, 3, h, h),
+        "stage2.conv2": _conv_flops(50, 50, 3, h, h),
         "stage3.conv1": _conv_flops(50, 50, 3, g, g),
         "stage3.conv2": _conv_flops(50, 50, 3, g, g),
         "attention": _attention_flops(model),
-        "up1": _tconv_flops(100, 20, 3, g, g, 22, 22),
-        "up2": _tconv_flops(20, 10, 3, 22, 22, 44, 44),
-        "head": _conv_flops(10, 2, 1, 44, 44),
+        "up1": _tconv_flops(100, 20, 3, g, g, h, h),
+        "up2": _tconv_flops(20, 10, 3, h, h, p, p),
+        "head": _conv_flops(10, 2, 1, p, p),
     }
     return [(name, sum(arr.size for _, arr in layer.params()), flops[name])
             for name, layer in model._layers]

@@ -27,7 +27,7 @@ from .errors import (
     FormatError,
     LineNotFoundError,
 )
-from .model import channel_softmax
+from .model import PATCH, channel_softmax
 from .pgm import read_pgm, write_pgm
 from .synthgen import Sample, normalize_windows, window_corners
 
@@ -36,8 +36,7 @@ TRACE_HEADER_LEN = 240
 FILE_HEADER_LEN = TEXT_HEADER_LEN + 400  # then the 400-byte binary header
 SCAN_CHUNK_BYTES = 4 << 20
 
-REAL_PATCH_SRC = 20
-REAL_PATCH_DST = 44
+REAL_PATCH_SRC = 20  # window side on the section grid, upscaled to PATCH
 REAL_PATCH_STRIDE = 10
 
 
@@ -231,67 +230,69 @@ def nearest_resize(mask, out_h, out_w):
     return mask[np.ix_(yi, xi)]
 
 
-def _prepare_windows(section, corners, src, dst):
-    """Model inputs (N, dst, dst) float32 for the windows at `corners`.
+def _prepare_windows(section, corners):
+    """Model inputs (N, PATCH, PATCH) float32 for the windows at `corners`.
 
     Each window is bilinearly upscaled first, then min-max normalized by
     the synthetic generator's normalize_windows, so training samples and
     inference windows match bit for bit.
     """
+    src = REAL_PATCH_SRC
     return normalize_windows(bilinear_resize(
-        np.stack([section[y:y + src, x:x + src] for y, x in corners]), dst, dst))
+        np.stack([section[y:y + src, x:x + src] for y, x in corners]), PATCH, PATCH))
 
 
-def _section_windows(section, src, stride):
-    """The section as float64 and its src x src window corners at stride."""
+def _section_windows(section, stride):
+    """The section as float64 and its window corners at stride."""
     section = np.asarray(section, dtype=np.float64)
     if section.ndim != 2:
         raise DimensionError("expected a 2D section, got rank %d" % section.ndim)
     h, w = section.shape
-    if h < src or w < src:
+    if h < REAL_PATCH_SRC or w < REAL_PATCH_SRC:
         raise DimensionError(
-            "section %dx%d is smaller than the %d window" % (h, w, src)
+            "section %dx%d is smaller than the %d window" % (h, w, REAL_PATCH_SRC)
         )
-    return section, window_corners(h, w, src, stride)
+    return section, window_corners(h, w, REAL_PATCH_SRC, stride)
 
 
-def real_patches(section, mask, src=REAL_PATCH_SRC, dst=REAL_PATCH_DST,
-                 stride=REAL_PATCH_STRIDE):
-    """Overlapping src x src windows upscaled to dst x dst training samples.
+def real_patches(section, mask, stride=REAL_PATCH_STRIDE):
+    """Overlapping REAL_PATCH_SRC windows upscaled to PATCH training samples.
 
     Amplitude windows are bilinearly rescaled then min-max normalized;
     mask windows are nearest-neighbor rescaled and re-binarized.
     """
-    section, corners = _section_windows(section, src, stride)
+    section, corners = _section_windows(section, stride)
     mask = np.asarray(mask)
     if mask.shape != section.shape:
         raise DimensionError(
             "mask %s does not match section %s" % (mask.shape, section.shape)
         )
-    images = _prepare_windows(section, corners, src, dst)
+    images = _prepare_windows(section, corners)
+    src = REAL_PATCH_SRC
     out = []
     for (y, x), image in zip(corners, images):
-        msk = nearest_resize(mask[y:y + src, x:x + src], dst, dst)
+        msk = nearest_resize(mask[y:y + src, x:x + src], PATCH, PATCH)
         out.append(Sample(image, (msk > 0).astype(np.uint8)))
     return out
 
 
-def tile_predict(model, section, src=REAL_PATCH_SRC, stride=REAL_PATCH_STRIDE,
-                 batch_size=64):
+def tile_predict(model, section, stride=REAL_PATCH_STRIDE, batch_size=64):
     """Blend per-window heterogeneity probabilities over a whole section.
 
-    Every src x src window is upscaled and normalized by the same function
-    as in real_patches, pushed through the model, and its probability map
-    is downscaled back onto the window footprint. Overlaps average; pixels
-    no window covers stay 0. The result does not depend on window order.
+    Every REAL_PATCH_SRC window is upscaled and normalized by the same
+    function as in real_patches, pushed through the model, and its
+    probability map is downscaled back onto the window footprint. Overlaps
+    average; pixels no window covers stay 0. The result does not depend on
+    window order.
     """
-    section, corners = _section_windows(section, src, stride)
+    section, corners = _section_windows(section, stride)
     h, w = section.shape
+    src = REAL_PATCH_SRC
     prob_sum = np.zeros((h, w), dtype=np.float64)
     hits = np.zeros((h, w), dtype=np.float64)
     for start in range(0, len(corners), batch_size):
         chunk = corners[start:start + batch_size]
-        up = _prepare_windows(section, chunk, src, REAL_PATCH_DST)
+        up = _prepare_windows(section, chunk)
         prob = channel_softmax(model.forward(up[:, None]))[:, 1]
         down = bilinear_resize(prob.astype(np.float64), src, src)
         for i, (y, x) in enumerate(chunk):

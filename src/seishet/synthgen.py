@@ -22,11 +22,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, FormatError
+from .model import PATCH
 from .numcore import Prng
 from .pgm import read_pgm, write_pgm
 
-PATCH = 44
-STRIDE = 22
+STRIDE = PATCH // 2
 
 DATASET_VERSION = 1
 
@@ -46,20 +46,19 @@ class SyntheticConfig:
     wavelet_period: tuple = (12.0, 25.0)
     noise: tuple = (0.0, 0.10)
     mask_dilation: int = 1
-    patch: int = PATCH
     stride: int = STRIDE
     seed: int = 0
 
     def validate(self):
-        if self.height < self.patch or self.width < self.patch:
+        if self.height < PATCH or self.width < PATCH:
             raise ConfigError(
                 "section %dx%d is smaller than the %d patch"
-                % (self.height, self.width, self.patch)
+                % (self.height, self.width, PATCH)
             )
         if self.sections < 1:
             raise ConfigError("need at least one section")
-        if self.patch < 1 or self.stride < 1:
-            raise ConfigError("patch and stride must be positive")
+        if self.stride < 1:
+            raise ConfigError("stride must be positive")
         if self.mask_dilation < 0:
             raise ConfigError("mask dilation must be nonnegative")
         for name in ("thickness", "fold_amplitude", "fold_wavelength", "shear",
@@ -87,8 +86,8 @@ class SyntheticConfig:
 @dataclass
 class Sample:
     """One training unit: normalized amplitude patch plus binary mask."""
-    image: np.ndarray  # float32 (patch, patch) in [-1, 1]
-    mask: np.ndarray   # uint8 (patch, patch) of {0, 1}
+    image: np.ndarray  # float32 (PATCH, PATCH) in [-1, 1]
+    mask: np.ndarray   # uint8 (PATCH, PATCH) of {0, 1}
 
 
 def generate_reflectivity(config, prng):
@@ -176,9 +175,11 @@ def _dilate_square(mask, radius):
 
     The square is separable: pad by r, OR together the 2r+1 column
     shifts, then the 2r+1 row shifts of that. On booleans this equals
-    scipy.ndimage.binary_dilation with a (2r+1)^2 structure.
+    scipy.ndimage.binary_dilation with a (2r+1)^2 structure. A radius past
+    max(h, w) is clamped there: that square already reaches every pixel.
     """
     h, w = mask.shape
+    radius = min(radius, max(h, w))
     padded = np.pad(mask, radius)
     rows = np.zeros((h + 2 * radius, w), dtype=bool)
     for j in range(2 * radius + 1):
@@ -247,21 +248,21 @@ def normalize_windows(stack):
     return stack.astype(np.float32)
 
 
-def extract_patches(section, mask, patch=PATCH, stride=STRIDE):
-    """Sliding-window samples; images normalized, masks cropped untouched."""
+def extract_patches(section, mask, stride=STRIDE):
+    """Sliding PATCH x PATCH samples; images normalized, masks cropped untouched."""
     h, w = section.shape
     if mask.shape != section.shape:
         raise DimensionError(
             "mask %s does not match section %s" % (mask.shape, section.shape)
         )
-    if h < patch or w < patch:
+    if h < PATCH or w < PATCH:
         raise DimensionError(
-            "section %dx%d is smaller than patch %d" % (h, w, patch)
+            "section %dx%d is smaller than patch %d" % (h, w, PATCH)
         )
-    corners = window_corners(h, w, patch, stride)
+    corners = window_corners(h, w, PATCH, stride)
     images = normalize_windows(
-        np.stack([section[y:y + patch, x:x + patch] for y, x in corners]))
-    return [Sample(image, (mask[y:y + patch, x:x + patch] > 0).astype(np.uint8))
+        np.stack([section[y:y + PATCH, x:x + PATCH] for y, x in corners]))
+    return [Sample(image, (mask[y:y + PATCH, x:x + PATCH] > 0).astype(np.uint8))
             for (y, x), image in zip(corners, images)]
 
 
@@ -285,7 +286,7 @@ def generate_dataset(config):
     samples = []
     for i in range(config.sections):
         section, mask = generate_section(config, master.derive(i))
-        samples.extend(extract_patches(section, mask, config.patch, config.stride))
+        samples.extend(extract_patches(section, mask, config.stride))
     return samples
 
 
@@ -300,7 +301,7 @@ def write_dataset(samples, directory, config=None):
     manifest = {
         "version": DATASET_VERSION,
         "count": len(samples),
-        "patch": int(samples[0].image.shape[0]) if samples else PATCH,
+        "patch": PATCH,
         "config": _config_to_json(config) if config is not None else None,
     }
     for i, sample in enumerate(samples):
@@ -336,9 +337,9 @@ def read_dataset(directory):
     patch = manifest.get("patch", PATCH)
     if not _is_int(count) or count < 0:
         raise FormatError("%s: missing or invalid count" % man_path)
-    if not _is_int(patch) or patch < 1:
-        raise FormatError("%s: invalid patch %r, expected an integer >= 1"
-                          % (man_path, patch))
+    if not _is_int(patch) or patch != PATCH:
+        raise FormatError("%s: patch %r, the network takes %d"
+                          % (man_path, patch, PATCH))
     if count == 0:
         raise DataError("%s: dataset is empty" % directory)
     samples = []
@@ -350,17 +351,17 @@ def read_dataset(directory):
                 raise FormatError("%s: missing" % path)
         with open(img_path, "rb") as fh:
             raw = fh.read()
-        if len(raw) != 4 * patch * patch:
+        if len(raw) != 4 * PATCH * PATCH:
             raise FormatError(
-                "%s: %d bytes, expected %d" % (img_path, len(raw), 4 * patch * patch)
+                "%s: %d bytes, expected %d" % (img_path, len(raw), 4 * PATCH * PATCH)
             )
-        img = np.frombuffer(raw, dtype="<f4").reshape(patch, patch).copy()
+        img = np.frombuffer(raw, dtype="<f4").reshape(PATCH, PATCH).copy()
         if not np.isfinite(img).all():
             raise FormatError("%s: non-finite pixel values" % img_path)
         msk = read_pgm(msk_path)
-        if msk.shape != (patch, patch):
+        if msk.shape != (PATCH, PATCH):
             raise FormatError(
-                "%s: mask is %s, expected %s" % (msk_path, msk.shape, (patch, patch))
+                "%s: mask is %s, expected %s" % (msk_path, msk.shape, (PATCH, PATCH))
             )
         bad = ~np.isin(msk, (0, 255))
         if bad.any():

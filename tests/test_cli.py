@@ -85,6 +85,28 @@ def test_gen_rejects_zero_fold_wavelength(tmp_path):
     assert not (tmp_path / "d").exists()
 
 
+def test_gen_survives_a_mask_dilation_larger_than_the_section(tmp_path):
+    r = run_cli("gen", "--out", tmp_path / "d", "--count", "1", "--height", "44",
+                "--width", "44", "--mask-dilation", "10000000")
+    assert r.returncode == 0, r.stderr
+    assert "wrote 1 samples from 1 sections" in r.stdout
+
+
+@pytest.mark.parametrize("command,flag,value", [("gen", "--patch", "44"),
+                                                ("predict", "--src", "20")])
+def test_window_size_flags_are_usage_errors(workspace, raw_section, tmp_path,
+                                            command, flag, value):
+    """Patches are 44x44 and real windows 20x20: neither size is a flag."""
+    args = {"gen": ["--count", "1", "--height", "44", "--width", "44"],
+            "predict": ["--ckpt", workspace["ckpt"], "--raw", raw_section,
+                        "--height", "30", "--width", "30"]}[command]
+    out = tmp_path / "out"
+    r = run_cli(command, "--out", out, *args, flag, value)
+    assert r.returncode == 2
+    assert "unrecognized arguments: %s %s" % (flag, value) in r.stderr
+    assert not out.exists()
+
+
 def test_gen_requires_out_flag():
     r = run_cli("gen", "--count", "2")
     assert r.returncode == 2
@@ -444,6 +466,20 @@ def test_eval_reads_csv_map(tmp_path, text, truth):
     (tmp_path / "p.csv").write_text(text)
     write_pgm(tmp_path / "t.pgm", np.array(truth, dtype=np.uint8))
     r = run_cli("eval", "--pred", tmp_path / "p.csv", "--truth", tmp_path / "t.pgm")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout.splitlines()[-1])["iou"] == 1.0
+
+
+@pytest.mark.parametrize("name,fmt", [("p.PGM", "pgm"), ("p.img", "pgm"),
+                                      ("p.pgm", "csv")])
+def test_eval_picks_the_map_format_by_content_not_name(tmp_path, name, fmt):
+    truth = np.array([[0, 255], [255, 0]], dtype=np.uint8)
+    write_pgm(tmp_path / "t.pgm", truth)
+    if fmt == "pgm":
+        write_pgm(tmp_path / name, truth)
+    else:
+        (tmp_path / name).write_text("0.000000,0.750000\n1.000000,0.250000\n")
+    r = run_cli("eval", "--pred", tmp_path / name, "--truth", tmp_path / "t.pgm")
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout.splitlines()[-1])["iou"] == 1.0
 

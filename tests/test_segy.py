@@ -603,7 +603,7 @@ def test_tile_predict_constant_model_covers_window_footprint():
 
 def test_tile_predict_non_overlapping_stride_tiles_exactly():
     section = Prng(12).uniform(-1.0, 1.0, (40, 40))
-    out = tile_predict(_ConstantLogitModel(), section, src=20, stride=20)
+    out = tile_predict(_ConstantLogitModel(), section, stride=20)
     assert np.allclose(out, _CONST_P, atol=1e-6)
 
 
@@ -618,7 +618,7 @@ def test_tile_predict_output_in_unit_interval():
 def test_tile_predict_matches_explicit_accumulation():
     model = build_network("se", Prng(22))
     section = Prng(14).uniform(-1.0, 1.0, (30, 30))
-    out = tile_predict(model, section, src=20, stride=10)
+    out = tile_predict(model, section, stride=10)
     prob_sum = np.zeros((30, 30))
     hits = np.zeros((30, 30))
     for y in (0, 10):

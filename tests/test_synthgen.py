@@ -167,6 +167,19 @@ def test_square_dilation_equals_scipy_binary_dilation(radius):
         assert got.dtype == bool and np.array_equal(got, want), mask.shape
 
 
+def test_square_dilation_clamps_a_radius_past_the_mask():
+    """A radius beyond max(h, w) dilates like max(h, w), without padding
+    the mask by the radius (10**7 would ask numpy for ~400 TB)."""
+    gen = Prng(76)
+    masks = [gen.uniform(0.0, 1.0, (7, 30)) < 0.05, np.zeros((9, 4), dtype=bool)]
+    masks[1][8, 0] = True
+    for mask in masks + [np.zeros((5, 5), dtype=bool)]:
+        side = max(mask.shape)
+        want = binary_dilation(mask, structure=np.ones((2 * side + 1,) * 2, bool))
+        for radius in (side, side + 1, 10 ** 7):
+            assert np.array_equal(_dilate_square(mask, radius), want), radius
+
+
 def test_cross_correlation_across_fault_recovers_throw():
     cfg = SyntheticConfig(
         height=128, width=64, faults=(1, 1), dip_degrees=(90.0, 90.0),
@@ -397,7 +410,7 @@ def test_dataset_errors(tmp_path):
 
 @pytest.mark.parametrize("field,value", [
     ("patch", "44"), ("patch", 44.0), ("patch", [44]), ("patch", None),
-    ("patch", True), ("patch", 0), ("patch", -44),
+    ("patch", True), ("patch", 0), ("patch", -44), ("patch", 32),
     ("count", True), ("count", "2"), ("count", 2.0), ("count", None),
 ])
 def test_read_dataset_rejects_non_integer_manifest_fields(tmp_path, field, value):

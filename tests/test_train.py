@@ -234,7 +234,7 @@ def test_finetune_on_rescaled_patches_reduces_loss():
 
     cfg = SyntheticConfig(height=64, width=64, sections=1, seed=6)
     section, mask = generate_section(cfg, Prng(6))
-    patches = real_patches(section, mask, src=20, dst=44, stride=22)[:8]
+    patches = real_patches(section, mask, stride=22)[:8]
     assert len(patches) == 8
     model = build_network("se", Prng(38))
     x, y = stack_samples(patches)
