@@ -3,13 +3,17 @@
 Exit codes: 0 success, 1 runtime failure (reported as a single
 ``seishet: error: ...`` line on stderr), 2 flag/usage errors (argparse).
 Every subcommand takes ``--seed``; when absent the SEISHET_SEED
-environment variable is used, then 0.
+environment variable is used, then 0. A flag that sets a library value
+has no default here, so when left out the library's own default applies.
 """
 
 import argparse
+import functools
+import inspect
 import os
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,14 +45,13 @@ from .segy import (
     tile_predict,
 )
 from .synthgen import (
-    STRIDE,
     SyntheticConfig,
     generate_dataset,
     read_dataset,
     window_corners,
     write_dataset,
 )
-from .train import TrainConfig, finetune, split_dataset, train
+from .train import FINETUNE_RECIPE, TrainConfig, finetune, split_dataset, train
 
 ATTENTION_CHOICES = {"se": "se", "self": "self_attention"}
 
@@ -114,25 +117,22 @@ def _resolve_seed(value):
     return 0
 
 
+def _given(args, target):
+    """The flags given that set a parameter of `target`, a function or a
+    config class, by name; two-number ranges become tuples.
+
+    A flag's dest is the name of the value it sets, and an omitted flag is
+    absent from args. --seed, resolved on its own, is left out.
+    """
+    names = inspect.signature(target).parameters
+    return {name: tuple(value) if isinstance(value, list) else value
+            for name, value in vars(args).items()
+            if name in names and name != "seed"}
+
+
 def cmd_gen(args):
     seed = _resolve_seed(args.seed)
-    config = SyntheticConfig(
-        height=args.height,
-        width=args.width,
-        sections=args.count,
-        thickness=tuple(args.thickness),
-        fold_amplitude=tuple(args.fold_amplitude),
-        fold_wavelength=tuple(args.fold_wavelength),
-        shear=tuple(args.shear),
-        faults=tuple(args.faults),
-        dip_degrees=tuple(args.dip),
-        throw=tuple(args.throw),
-        wavelet_period=tuple(args.wavelet_period),
-        noise=tuple(args.noise),
-        mask_dilation=args.mask_dilation,
-        stride=args.stride,
-        seed=seed,
-    )
+    config = SyntheticConfig(seed=seed, **_given(args, SyntheticConfig))
     samples = generate_dataset(config)
     write_dataset(samples, args.out, config)
     print(
@@ -149,22 +149,16 @@ def _load_samples(path, limit):
     return samples
 
 
-def _fit(fit, model, samples, args, master, heldout=None, **fields):
-    """Run `fit` (train or finetune) under the flags both commands share.
+def _fit(fit, base, model, samples, args, master, heldout=None):
+    """Run `fit` (train or finetune) from the TrainConfig `base`.
 
-    The epoch shuffle seed is master.derive(2); `fields` are the other
-    TrainConfig values. Each epoch line is printed and, with --log, written
-    to that file; the checkpoint is saved to --out. Returns fit's (model,
-    list of EpochStats).
+    The TrainConfig flags given replace base's values, and the epoch
+    shuffle seed is master.derive(2). Each epoch line is printed and, with
+    --log, written to that file; the checkpoint is saved to --out. Returns
+    fit's (model, list of EpochStats).
     """
-    config = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        learning_rate=args.lr,
-        shuffle_seed=master.derive(2).seed,
-        pos_weight=args.pos_weight,
-        **fields,
-    )
+    config = replace(base, shuffle_seed=master.derive(2).seed,
+                     **_given(args, TrainConfig))
     lines = []
 
     def on_epoch(stats):
@@ -182,13 +176,12 @@ def _fit(fit, model, samples, args, master, heldout=None, **fields):
 def cmd_train(args):
     samples = _load_samples(args.data, args.count_limit)
     master = Prng(_resolve_seed(args.seed))
-    train_set, test_set = split_dataset(samples, args.split, master.derive(1).seed)
-    variant = ATTENTION_CHOICES[args.attention]
-    net_config = NetConfig(
-        se_ratio=args.se_ratio, heads=args.heads, d_k=args.dk, d_v=args.dv
-    )
-    model = build_network(variant, master.derive(0), net_config)
-    _, stats = _fit(train, model, train_set, args, master, heldout=test_set)
+    train_set, test_set = split_dataset(samples, seed=master.derive(1).seed,
+                                        **_given(args, split_dataset))
+    model = build_network(ATTENTION_CHOICES[args.attention], master.derive(0),
+                          NetConfig(**_given(args, NetConfig)))
+    _, stats = _fit(train, TrainConfig(), model, train_set, args, master,
+                    heldout=test_set)
     # the final epoch has just scored this model on the held-out set
     print("held-out metrics:")
     print(format_table(report_from_counts(stats[-1].counts)))
@@ -206,8 +199,8 @@ def cmd_finetune(args):
                 % (model.variant, args.attention)
             )
     samples = _load_samples(args.data, args.count_limit)
-    model, _ = _fit(finetune, model, samples, args, Prng(_resolve_seed(args.seed)),
-                    freeze_prefix=args.freeze_prefix)
+    model, _ = _fit(finetune, FINETUNE_RECIPE, model, samples, args,
+                    Prng(_resolve_seed(args.seed)))
     frozen = [name for name, flag in model.freeze.items() if flag]
     if frozen:
         print("frozen parameters (%d): %s" % (len(frozen), ", ".join(frozen)))
@@ -219,16 +212,16 @@ def cmd_finetune(args):
 
 def cmd_predict(args):
     model = load_checkpoint(args.ckpt)
-    if args.segy is not None:
+    if "segy" in args:
         if args.line is None:
             raise ConfigError("--segy requires --line")
-        volume = open_volume(args.segy, args.inline_byte, args.crossline_byte)
+        volume = open_volume(args.segy, **_given(args, open_volume))
         section = read_section(volume, args.axis, args.line).amplitudes
     else:
         if args.height is None or args.width is None:
             raise ConfigError("--raw requires --height and --width")
         section = read_raw_section(args.raw, args.height, args.width)
-    prob_map = tile_predict(model, section, stride=args.stride, batch_size=args.batch)
+    prob_map = tile_predict(model, section, **_given(args, tile_predict))
     export_map(prob_map, args.out, args.format)
     print(
         "wrote %s confidence map %dx%d to %s"
@@ -330,77 +323,77 @@ def build_parser():
         description="seismic structural-heterogeneity detection toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # an omitted flag with no default here is left out of the namespace
+    command = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("gen", help="generate a synthetic patch dataset")
+    p = command("gen", help="generate a synthetic patch dataset")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--count", type=_positive_int, default=4000,
+    p.add_argument("--count", type=_positive_int, dest="sections", metavar="COUNT",
                    help="number of sections to synthesize")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--height", type=_positive_int, default=128)
-    p.add_argument("--width", type=_positive_int, default=128)
-    p.add_argument("--thickness", nargs=2, type=int, default=[5, 20],
+    p.add_argument("--height", type=_positive_int)
+    p.add_argument("--width", type=_positive_int)
+    p.add_argument("--thickness", nargs=2, type=int,
                    metavar=("MIN", "MAX"), help="layer thickness range, samples")
-    p.add_argument("--fold-amplitude", nargs=2, type=float, default=[0.0, 10.0],
-                   metavar=("MIN", "MAX"))
-    p.add_argument("--fold-wavelength", nargs=2, type=float, default=[32.0, 128.0],
-                   metavar=("MIN", "MAX"))
-    p.add_argument("--shear", nargs=2, type=float, default=[-0.2, 0.2],
+    p.add_argument("--fold-amplitude", nargs=2, type=float, metavar=("MIN", "MAX"))
+    p.add_argument("--fold-wavelength", nargs=2, type=float, metavar=("MIN", "MAX"))
+    p.add_argument("--shear", nargs=2, type=float,
                    metavar=("MIN", "MAX"), help="shear slope range")
-    p.add_argument("--faults", nargs=2, type=int, default=[1, 3],
+    p.add_argument("--faults", nargs=2, type=int,
                    metavar=("MIN", "MAX"), help="faults per section")
-    p.add_argument("--dip", nargs=2, type=float, default=[50.0, 85.0],
+    p.add_argument("--dip", nargs=2, type=float, dest="dip_degrees",
                    metavar=("MIN", "MAX"), help="fault dip range, degrees")
-    p.add_argument("--throw", nargs=2, type=int, default=[3, 15],
+    p.add_argument("--throw", nargs=2, type=int,
                    metavar=("MIN", "MAX"), help="fault throw range, samples")
-    p.add_argument("--wavelet-period", nargs=2, type=float, default=[12.0, 25.0],
+    p.add_argument("--wavelet-period", nargs=2, type=float,
                    metavar=("MIN", "MAX"), help="wavelet peak period, samples")
-    p.add_argument("--noise", nargs=2, type=float, default=[0.0, 0.10],
+    p.add_argument("--noise", nargs=2, type=float,
                    metavar=("MIN", "MAX"), help="noise sigma as fraction of rms")
-    p.add_argument("--mask-dilation", type=_nonneg_int, default=1)
-    p.add_argument("--stride", type=_positive_int, default=STRIDE)
+    p.add_argument("--mask-dilation", type=_nonneg_int)
+    p.add_argument("--stride", type=_positive_int)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("train", help="train a model on a patch dataset")
+    p = command("train", help="train a model on a patch dataset")
     p.add_argument("--data", required=True, help="dataset directory from gen")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--attention", choices=sorted(ATTENTION_CHOICES),
                    default="self")
-    p.add_argument("--epochs", type=_positive_int, default=200)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch", type=_positive_int, default=32)
-    p.add_argument("--split", type=_fraction, default=0.8,
+    p.add_argument("--epochs", type=_positive_int)
+    p.add_argument("--lr", type=float, dest="learning_rate", metavar="LR")
+    p.add_argument("--batch", type=_positive_int, dest="batch_size", metavar="BATCH")
+    p.add_argument("--split", type=_fraction, dest="fraction", metavar="SPLIT",
                    help="training fraction of the data")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--count-limit", type=_positive_int, default=None,
                    help="use only the first N samples")
     p.add_argument("--log", default=None, help="write per-epoch lines here")
-    p.add_argument("--se-ratio", type=_attention_size, default=4)
-    p.add_argument("--heads", type=_attention_size, default=4)
-    p.add_argument("--dk", type=_attention_size, default=32)
-    p.add_argument("--dv", type=_attention_size, default=32)
-    p.add_argument("--pos-weight", type=float, default=None,
+    p.add_argument("--se-ratio", type=_attention_size)
+    p.add_argument("--heads", type=_attention_size)
+    p.add_argument("--dk", type=_attention_size, dest="d_k", metavar="DK")
+    p.add_argument("--dv", type=_attention_size, dest="d_v", metavar="DV")
+    p.add_argument("--pos-weight", type=float,
                    help="optional loss weight for heterogeneity pixels")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("finetune", help="transfer-train a checkpoint")
+    p = command("finetune", help="transfer-train a checkpoint")
     p.add_argument("--ckpt", required=True, help="base checkpoint")
     p.add_argument("--data", required=True, help="patch dataset directory")
     p.add_argument("--out", required=True, help="fine-tuned checkpoint path")
     p.add_argument("--attention", choices=sorted(ATTENTION_CHOICES), default=None,
                    help="assert the checkpoint's variant")
-    p.add_argument("--epochs", type=_positive_int, default=30)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch", type=_positive_int, default=32)
-    p.add_argument("--freeze-prefix", type=_nonneg_int, default=2,
+    p.add_argument("--epochs", type=_positive_int)
+    p.add_argument("--lr", type=float, dest="learning_rate", metavar="LR")
+    p.add_argument("--batch", type=_positive_int, dest="batch_size", metavar="BATCH")
+    p.add_argument("--freeze-prefix", type=_nonneg_int,
                    help="number of leading layers to freeze, 0-10, counting"
                         " the six convs, attention, up1, up2 and head")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--count-limit", type=_positive_int, default=None)
     p.add_argument("--log", default=None)
-    p.add_argument("--pos-weight", type=float, default=None)
+    p.add_argument("--pos-weight", type=float)
     p.set_defaults(func=cmd_finetune)
 
-    p = sub.add_parser("predict", help="tile a trained model over a section")
+    p = command("predict", help="tile a trained model over a section")
     p.add_argument("--ckpt", required=True)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--segy", help="SEG-Y volume path")
@@ -411,22 +404,22 @@ def build_parser():
                    help="rows of the raw section (with --raw)")
     p.add_argument("--width", type=_positive_int, default=None,
                    help="columns of the raw section (with --raw)")
-    p.add_argument("--inline-byte", type=_positive_int, default=189)
-    p.add_argument("--crossline-byte", type=_positive_int, default=193)
+    p.add_argument("--inline-byte", type=_positive_int)
+    p.add_argument("--crossline-byte", type=_positive_int)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("pgm", "csv"), default="pgm")
     p.add_argument("--stride", type=_positive_int, default=REAL_PATCH_STRIDE)
-    p.add_argument("--batch", type=_positive_int, default=64)
+    p.add_argument("--batch", type=_positive_int, dest="batch_size", metavar="BATCH")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", help="score a confidence map against a mask")
+    p = command("eval", help="score a confidence map against a mask")
     p.add_argument("--pred", required=True, help="PGM or CSV confidence map")
     p.add_argument("--truth", required=True, help="PGM ground-truth mask")
     p.add_argument("--threshold", type=_threshold, default=0.5,
                    help="confidence at or above which a pixel is positive")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("info", help="describe a checkpoint")
+    p = command("info", help="describe a checkpoint")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--diff", default=None, help="second checkpoint to compare")
     p.set_defaults(func=cmd_info)

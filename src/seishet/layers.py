@@ -82,7 +82,7 @@ def _grid(x_shape, kernel, stride):
 
 
 def _im2col(xf, x_shape, kernel, stride):
-    """Gather (C*k*k, B*Ho*Wo) columns from a _pad_flat buffer, plus Ho and Wo.
+    """Gather (C*k*k, B*Ho*Wo) columns from a _pad_flat buffer.
 
     Row (c*k + i)*k + j, column (b*Ho + y)*Wo + x holds the padded input at
     (b, c, y*stride + i, x*stride + j); overhanging windows are dropped.
@@ -96,7 +96,7 @@ def _im2col(xf, x_shape, kernel, stride):
         (s0, wp * s1, s1, hp * wp * s1, stride * wp * s1, stride * s1),
         writeable=False,
     )
-    return view.reshape(c * kernel * kernel, b * ho * wo), ho, wo
+    return view.reshape(c * kernel * kernel, b * ho * wo)
 
 
 def _per_patch(wm, cols, b):
@@ -185,7 +185,7 @@ class Conv2d:
         else:
             xf = _pad_flat(x, k)
             if self.out_ch > self.in_ch:
-                cols = _im2col(xf, x.shape, k, 1)[0]
+                cols = _im2col(xf, x.shape, k, 1)
                 y = _per_patch(self.weight.reshape(self.out_ch, -1), cols, b)
             else:
                 weights, offsets = self._taps(x.shape[3] + 2)
@@ -330,7 +330,7 @@ class TransposedConv2d:
 
     def backward(self, x, grad_out, input_grad=True):
         grad_b = grad_out.sum(axis=(0, 2, 3))
-        gcols = _im2col(_pad_flat(grad_out, 3), grad_out.shape, 3, 2)[0]
+        gcols = _im2col(_pad_flat(grad_out, 3), grad_out.shape, 3, 2)
         wm = self.weight.reshape(self.in_ch, -1)
         grad_x = (_per_patch(wm, gcols, x.shape[0]).reshape(x.shape)
                   if input_grad else None)

@@ -397,39 +397,30 @@ def build_network(variant, prng, config=None, dtype=np.float32):
     return HetNet(variant, prng=prng, config=config, dtype=dtype)
 
 
-def _conv_flops(in_ch, out_ch, k, oh, ow):
-    return oh * ow * out_ch * (2 * in_ch * k * k + 1)
+def _affine_flops(layer):
+    """Flops of one output position of a Dense or Conv2d: MACs plus bias."""
+    return 2 * layer.weight.size + layer.bias.size
 
 
-def _tconv_flops(in_ch, out_ch, k, ih, iw, oh, ow):
-    return 2 * ih * iw * in_ch * out_ch * k * k + out_ch * oh * ow
-
-
-def _attention_flops(model):
-    cfg = model.config
-    g = GRID
-    n = g * g
-    if model.variant == "se":
-        ch = 100
-        mid = ch // cfg.se_ratio
-        fl = ch * n + ch                       # squeeze mean
-        fl += 2 * ch * mid + mid               # fc1
-        fl += 2 * mid * ch + ch                # fc2
-        fl += ch * n                           # channel gate multiply
-        fl += _conv_flops(ch, 1, 1, g, g)      # spatial 1x1 conv
-        fl += ch * n                           # spatial gate multiply
+def _attention_flops(block, n):
+    """Flops of an attention block over n grid positions."""
+    if isinstance(block, SeAttention):
+        ch = block.fc1.in_dim
+        fl = ch * n + ch                               # squeeze mean
+        fl += _affine_flops(block.fc1) + _affine_flops(block.fc2)
+        fl += ch * n                                   # channel gate multiply
+        fl += n * _affine_flops(block.spatial)         # spatial 1x1 conv
+        fl += ch * n                                   # spatial gate multiply
         return fl
-    f_in, f_out = 100, 100
-    dk, dv = cfg.d_k, cfg.d_v
-    heads = cfg.heads
-    fl = _conv_flops(f_in, f_out - dv, 3, g, g)
-    fl += 2 * n * f_in * (dk + dk + dv)    # q, k, v projections
-    fl += 2 * n * n * dk                   # content logits
-    fl += 2 * n * dk * (2 * g - 1) * 2     # relative embedding products
-    fl += 2 * heads * n * n                # adding both rel terms
-    fl += heads * n * n                    # logit scaling
-    fl += 2 * n * n * dv                   # value mixing
-    fl += 2 * n * dv * dv                  # output projection
+    a = block.attn
+    fl = n * _affine_flops(block.conv)                 # conv branch
+    fl += 2 * n * (a.wq.size + a.wk.size + a.wv.size)  # q, k, v projections
+    fl += 2 * n * n * a.d_k                            # content logits
+    fl += 2 * n * a.d_k * (len(a.rel_w) + len(a.rel_h))  # relative embeddings
+    fl += 2 * a.heads * n * n                          # adding both rel terms
+    fl += a.heads * n * n                              # logit scaling
+    fl += 2 * n * n * a.d_v                            # value mixing
+    fl += 2 * n * a.wo.size                            # output projection
     return fl
 
 
@@ -437,23 +428,27 @@ def flops_table(model):
     """(layer, params, flops) rows for one PATCH x PATCH forward pass.
 
     Convention: see FLOP_CONVENTION. Counts are exact under that convention,
-    not a hardware estimate. Parameter counts are the layers' tensor sizes.
+    not a hardware estimate. The sizes come from the model's own step list
+    and layers: the grid side halves at each pool and doubles after each
+    transposed convolution. Parameter counts are the layers' tensor sizes.
     """
-    p, h, g = PATCH, PATCH // 2, GRID
-    flops = {
-        "stage1.conv1": _conv_flops(1, 20, 3, p, p),
-        "stage1.conv2": _conv_flops(20, 20, 3, p, p),
-        "stage2.conv1": _conv_flops(20, 50, 3, h, h),
-        "stage2.conv2": _conv_flops(50, 50, 3, h, h),
-        "stage3.conv1": _conv_flops(50, 50, 3, g, g),
-        "stage3.conv2": _conv_flops(50, 50, 3, g, g),
-        "attention": _attention_flops(model),
-        "up1": _tconv_flops(100, 20, 3, g, g, h, h),
-        "up2": _tconv_flops(20, 10, 3, h, h, p, p),
-        "head": _conv_flops(10, 2, 1, p, p),
-    }
-    return [(name, sum(arr.size for _, arr in layer.params()), flops[name])
-            for name, layer in model._layers]
+    side, rows = PATCH, []
+    for step in model._steps:
+        if step is _POOL:
+            side //= 2
+        elif step not in (_SKIP, _CONCAT):
+            name, layer, _ = step
+            n = side * side
+            if isinstance(layer, TransposedConv2d):
+                # MACs per input pixel, a bias add per each of its 2x2 outputs
+                fl = n * (2 * layer.weight.size + 4 * layer.bias.size)
+                side *= 2
+            elif isinstance(layer, Conv2d):
+                fl = n * _affine_flops(layer)
+            else:
+                fl = _attention_flops(layer, n)
+            rows.append((name, sum(arr.size for _, arr in layer.params()), fl))
+    return rows
 
 
 def count_params_flops(model):

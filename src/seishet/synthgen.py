@@ -64,6 +64,12 @@ class SyntheticConfig:
         for name in ("thickness", "fold_amplitude", "fold_wavelength", "shear",
                      "faults", "dip_degrees", "throw", "wavelet_period", "noise"):
             lo, hi = getattr(self, name)
+            # numpy draws integers in int64 and floats from a finite width
+            if not (-2 ** 63 <= lo and hi < 2 ** 63
+                    if name in ("thickness", "faults", "throw")
+                    else math.isfinite(hi - lo)):
+                raise ConfigError("range %s has a bound numpy cannot draw"
+                                  " from: %r" % (name, (lo, hi)))
             if lo > hi:
                 raise ConfigError("range %s is empty: %r" % (name, (lo, hi)))
         if self.thickness[0] < 1:
@@ -273,7 +279,8 @@ def generate_section(config, prng):
     section = apply_shear(section, config, prng)
     section, mask = apply_faults(section, config, prng)
     period = prng.uniform(*config.wavelet_period)
-    length = 2 * math.ceil(1.5 * period) + 1
+    # taps past the central 2h - 1 meet only zero padding and change nothing
+    length = min(2 * math.ceil(1.5 * period) + 1, 2 * config.height - 1)
     section = convolve_traces(section, ricker(period, length))
     section = add_noise(section, config, prng)
     return section, mask

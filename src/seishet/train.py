@@ -32,7 +32,7 @@ from .model import channel_softmax
 from .numcore import Prng
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 200
     batch_size: int = 32
@@ -51,6 +51,10 @@ class TrainConfig:
         if self.pos_weight is not None and not 0.0 < self.pos_weight < np.inf:
             raise DataError("positive-class weight must be positive and finite")
         return self
+
+
+# The transfer recipe: 30 epochs with stage 1's two convolutions frozen.
+FINETUNE_RECIPE = TrainConfig(epochs=30, freeze_prefix=2)
 
 
 @dataclass
@@ -210,10 +214,9 @@ def train(model, samples, config, heldout=None, on_epoch=None):
 def finetune(model, samples, config=None, heldout=None, on_epoch=None):
     """Transfer-learning loop: freeze the leading layers, retrain the rest.
 
-    Defaults follow the transfer recipe: 30 epochs at the base learning
-    rate with the first two convolution layers frozen. Optimizer moments
-    start fresh rather than carrying over from base training.
+    Without a config it runs FINETUNE_RECIPE, which `seishet finetune`
+    also starts from. Optimizer moments start fresh rather than carrying
+    over from base training.
     """
-    if config is None:
-        config = TrainConfig(epochs=30, freeze_prefix=2)
-    return train(model, samples, config, heldout=heldout, on_epoch=on_epoch)
+    return train(model, samples, config or FINETUNE_RECIPE, heldout=heldout,
+                 on_epoch=on_epoch)

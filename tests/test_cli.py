@@ -15,6 +15,7 @@ from seishet.metrics import evaluate
 from seishet.model import build_network, count_params_flops, load_checkpoint
 from seishet.numcore import Prng
 from seishet.pgm import read_pgm, write_pgm
+from seishet.train import FINETUNE_RECIPE
 
 
 def run_cli(*args, env_extra=None):
@@ -83,6 +84,29 @@ def test_gen_rejects_zero_fold_wavelength(tmp_path):
     assert r.returncode == 1
     assert r.stderr == "seishet: error: fold wavelength must be positive\n"
     assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("flag,low,high", [
+    ("--noise", "nan", "nan"), ("--noise", "0", "inf"),
+    ("--wavelet-period", "inf", "inf"), ("--fold-amplitude", "nan", "nan"),
+    ("--shear", "nan", "nan"), ("--fold-wavelength", "inf", "inf"),
+    ("--throw", "0", "100000000000000000000"),
+    ("--faults", "0", "100000000000000000000"),
+    ("--thickness", "1", "100000000000000000000"),
+])
+def test_gen_rejects_a_range_numpy_cannot_draw_from(tmp_path, flag, low, high):
+    r = run_cli("gen", "--out", tmp_path / "d", "--count", "1", flag, low, high)
+    assert r.returncode == 1
+    assert r.stderr.startswith("seishet: error: range ")
+    assert r.stderr.count("\n") == 1
+    assert not (tmp_path / "d").exists()
+
+
+def test_gen_cuts_a_huge_wavelet_to_the_section(tmp_path):
+    r = run_cli("gen", "--out", tmp_path / "d", "--count", "1", "--height", "44",
+                "--width", "44", "--wavelet-period", "1e9", "1e9")
+    assert r.returncode == 0, r.stderr
+    assert "wrote 1 samples from 1 sections" in r.stdout
 
 
 def test_gen_survives_a_mask_dilation_larger_than_the_section(tmp_path):
@@ -233,6 +257,20 @@ def test_finetune_freezes_prefix_and_diff_confirms(workspace, tmp_path):
     assert "equal stage1.conv2.weight" in lines
     assert "differs stage2.conv1.weight" in lines
     assert any(line.endswith("tensors differ") for line in lines)
+
+
+def test_finetune_without_epochs_or_prefix_runs_the_recipe(workspace, tmp_path):
+    log = tmp_path / "t.log"
+    r = run_cli("finetune", "--ckpt", workspace["ckpt"], "--data",
+                workspace["data"], "--out", tmp_path / "t.ckpt", "--seed", "9",
+                "--count-limit", "8", "--log", log)
+    assert r.returncode == 0, r.stderr
+    assert len(log.read_text().splitlines()) == FINETUNE_RECIPE.epochs
+    model = load_checkpoint(tmp_path / "t.ckpt")
+    reference = build_network("se", None)
+    reference.set_freeze_prefix(FINETUNE_RECIPE.freeze_prefix)
+    assert model.freeze == reference.freeze
+    assert any(model.freeze.values())
 
 
 def test_finetune_zero_prefix_freezes_nothing(workspace, tmp_path):

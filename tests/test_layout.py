@@ -1,15 +1,24 @@
-"""src/seishet holds pipeline code only.
+"""src/seishet holds pipeline code only, and states each default once.
 
 Every module-level function and class, public or private, must have a
 caller: a reference in src/seishet outside its own definition, a mention
 in the benchmark under perfbench/, or the console entry point in
 pyproject.toml. Test oracles and helpers live in tests/conftest.py
 instead, and a helper whose last caller goes fails here.
+
+A command line flag that sets a library value takes no default of its
+own, so the library's default is the only one.
 """
 
 import ast
 import os
 import re
+from dataclasses import fields
+
+from seishet.cli import build_parser
+from seishet.model import NetConfig
+from seishet.synthgen import SyntheticConfig
+from seishet.train import TrainConfig
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SRC = os.path.join(_ROOT, "src", "seishet")
@@ -62,3 +71,30 @@ def test_every_module_level_name_in_src_has_a_pipeline_caller():
 def test_exemptions_are_still_needed():
     uncalled = {m.split(":")[1] for m in _uncalled_names()}
     assert set(_EXEMPT) <= uncalled, sorted(set(_EXEMPT) - uncalled)
+
+
+def _names(*classes):
+    return {f.name for cls in classes for f in fields(cls)}
+
+
+# Each command with its required flags, and the library values its other
+# flags set: config fields, split_dataset's fraction, tile_predict's
+# batch_size and open_volume's header bytes.
+_LIBRARY_VALUES = {
+    ("gen", "--out", "d"): _names(SyntheticConfig),
+    ("train", "--data", "d", "--out", "m"):
+        _names(TrainConfig, NetConfig) | {"fraction"},
+    ("finetune", "--ckpt", "c", "--data", "d", "--out", "m"): _names(TrainConfig),
+    ("predict", "--ckpt", "c", "--raw", "r", "--out", "o"):
+        {"batch_size", "inline_byte", "crossline_byte"},
+}
+
+
+def test_cli_flags_leave_library_values_to_the_library():
+    """An omitted flag that sets a library value is absent from the parsed
+    namespace. --seed is the exception: its None falls back to SEISHET_SEED."""
+    parser = build_parser()
+    for argv, library in _LIBRARY_VALUES.items():
+        parsed = vars(parser.parse_args(argv))
+        defaulted = sorted(set(parsed) & library - {"seed"})
+        assert defaulted == [], "%s flags with a default: %s" % (argv[0], defaulted)

@@ -135,6 +135,23 @@ def test_flops_table_per_layer_params_match_tensors():
             assert fl > 0
 
 
+# Per-layer flops of one 44x44 patch, stage1.conv1 through head; only the
+# attention row depends on the variant and the attention hyperparameters.
+_TRUNK_FLOPS = [735680, 13977920, 8736200, 21804200, 5451050, 5451050]
+_DECODER_FLOPS = [4365680, 1761760, 81312]
+
+
+@pytest.mark.parametrize("variant,config,attention", [
+    ("se", NetConfig(), 70846),
+    ("se", NetConfig(5, 2, 16, 16), 68841),
+    ("self_attention", NetConfig(), 19764624),
+    ("self_attention", NetConfig(5, 2, 16, 16), 20716410),
+])
+def test_flops_table_pins_each_layers_count(variant, config, attention):
+    rows = flops_table(build_network(variant, None, config))
+    assert [fl for _, _, fl in rows] == _TRUNK_FLOPS + [attention] + _DECODER_FLOPS
+
+
 def test_single_conv_and_dense_count_examples():
     model = build_network("se", Prng(4))
     table = dict((name, n) for name, n, _ in flops_table(model))

@@ -56,6 +56,23 @@ def test_config_rejects_a_fold_wavelength_that_is_not_positive(low):
         SyntheticConfig(fold_wavelength=(low, 64.0)).validate()
 
 
+@pytest.mark.parametrize("field,bounds", [
+    ("noise", (math.nan, math.nan)), ("noise", (0.0, math.inf)),
+    ("wavelet_period", (math.inf, math.inf)), ("shear", (-1e308, 1e308)),
+    ("fold_amplitude", (math.nan, math.nan)), ("shear", (math.nan, 0.1)),
+    ("fold_wavelength", (math.inf, math.inf)),
+    ("throw", (0, 10 ** 20)), ("faults", (0, 2 ** 63)),
+    ("thickness", (-2 ** 63 - 1, 5)),
+])
+def test_config_rejects_ranges_numpy_cannot_draw_from(field, bounds):
+    with pytest.raises(ConfigError, match="range %s" % field):
+        SyntheticConfig(**{field: bounds}).validate()
+
+
+def test_config_accepts_the_int64_extremes():
+    SyntheticConfig(throw=(0, 2 ** 63 - 1)).validate()
+
+
 def test_reflectivity_columns_identical():
     cfg = SyntheticConfig(height=128, width=32)
     r = generate_reflectivity(cfg, Prng(2))
@@ -327,6 +344,23 @@ def test_generate_section_golden_values():
     np.testing.assert_allclose(sec[40, 5], -0.37434799311665046, rtol=1e-10)
     np.testing.assert_allclose(sec[60, 60], 0.56702239572197788, rtol=1e-10)
     assert int(mask.sum()) == 221
+
+
+def test_generate_section_cuts_a_long_wavelet_without_changing_a_bit():
+    """Wavelets longer than 2h - 1 taps are cut to those; the uncut ones
+    of the same draws give the same bytes."""
+    config = SyntheticConfig(height=44, width=50, wavelet_period=(60.0, 400.0))
+    for i in range(6):
+        section, mask = generate_section(config, Prng(9).derive(i))
+        prng = Prng(9).derive(i)
+        full = generate_reflectivity(config, prng)
+        full = apply_shear(apply_fold(full, config, prng), config, prng)
+        full, full_mask = apply_faults(full, config, prng)
+        period = prng.uniform(*config.wavelet_period)
+        full = convolve_traces(full, ricker(period, 2 * math.ceil(1.5 * period) + 1))
+        full = add_noise(full, config, prng)
+        assert section.tobytes() == full.tobytes()
+        assert mask.tobytes() == full_mask.tobytes()
 
 
 def test_dataset_generation_is_deterministic():
