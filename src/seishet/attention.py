@@ -42,7 +42,7 @@ class SeAttention:
     pixel of the channel-gated map.
     """
 
-    def __init__(self, channels, ratio=4, prng=None, dtype=np.float32):
+    def __init__(self, channels, ratio, prng=None, dtype=np.float32):
         if channels % ratio:
             raise ConfigError(
                 "se ratio %d does not divide %d channels" % (ratio, channels)
@@ -164,8 +164,8 @@ class RelativeSelfAttention2d:
     d_k/heads) and rel_h (2H-1, d_k/heads) shared across heads.
     """
 
-    def __init__(self, in_ch, height, width, heads=4, d_k=32, d_v=32,
-                 prng=None, dtype=np.float32):
+    def __init__(self, in_ch, height, width, heads, d_k, d_v, prng=None,
+                 dtype=np.float32):
         if d_k % heads or d_v % heads:
             raise ConfigError(
                 "head count %d must divide d_k=%d and d_v=%d" % (heads, d_k, d_v)
@@ -286,7 +286,7 @@ class AugmentedAttentionConv:
     d_v, so the concatenated map has exactly out_ch channels, conv first.
     """
 
-    def __init__(self, in_ch, out_ch, height, width, heads=4, d_k=32, d_v=32,
+    def __init__(self, in_ch, out_ch, height, width, heads, d_k, d_v,
                  prng=None, dtype=np.float32):
         if d_v >= out_ch:
             raise ConfigError(

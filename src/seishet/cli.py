@@ -1,16 +1,21 @@
 """Command line interface: gen, train, finetune, predict, eval, info.
 
-Exit codes: 0 success, 1 runtime failure (reported as a single
-``seishet: error: ...`` line on stderr), 2 flag/usage errors (argparse).
+Exit codes: 0 success; 2 when argparse cannot parse the command line (an
+unknown or missing flag, a token that is not a number or not a choice);
+1 when a parsed value is rejected or the run fails, told in one
+``seishet: error: ...`` line on stderr. A flag that sets a library value
+has no default or range check here: the library supplies the one and
+makes the other. No library function takes --count-limit or eval's
+--threshold, so only they are range-checked while parsing (exit 2).
 Every subcommand takes ``--seed``; when absent the SEISHET_SEED
-environment variable is used, then 0. A flag that sets a library value
-has no default here, so when left out the library's own default applies.
+environment variable is used, then 0.
 """
 
 import argparse
 import functools
 import inspect
 import os
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -21,7 +26,6 @@ from .errors import ConfigError, FormatError, SeishetError
 from .metrics import evaluate, format_table, report_from_counts, to_json
 from .model import (
     FLOP_CONVENTION,
-    MAX_ATTENTION_SIZE,
     NetConfig,
     PATCH,
     REFERENCE_KFLOPS,
@@ -55,6 +59,10 @@ from .train import FINETUNE_RECIPE, TrainConfig, finetune, split_dataset, train
 
 ATTENTION_CHOICES = {"se": "se", "self": "self_attention"}
 
+# A token argparse reads as a negative number, not as a flag. Its own
+# matcher misses exponent forms such as -1e-3; no flag here looks like one.
+_NEGATIVE_NUMBER = re.compile(r"^-\d*\.?\d+(e[-+]?\d+)?$", re.I)
+
 
 def _positive_int(text):
     try:
@@ -66,40 +74,11 @@ def _positive_int(text):
     return value
 
 
-def _attention_size(text):
-    value = _positive_int(text)
-    if value > MAX_ATTENTION_SIZE:
-        raise argparse.ArgumentTypeError(
-            "must be at most %d, got %d" % (MAX_ATTENTION_SIZE, value))
-    return value
-
-
-def _nonneg_int(text):
+def _threshold(text):
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("%r is not an integer" % text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
-    return value
-
-
-def _number(text):
-    try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError("%r is not a number" % text)
-
-
-def _fraction(text):
-    value = _number(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("must lie in (0, 1), got %s" % text)
-    return value
-
-
-def _threshold(text):
-    value = _number(text)
     if not 0.0 <= value <= 1.0:  # also false for nan
         raise argparse.ArgumentTypeError("must lie in [0, 1], got %s" % text)
     return value
@@ -328,11 +307,11 @@ def build_parser():
 
     p = command("gen", help="generate a synthetic patch dataset")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--count", type=_positive_int, dest="sections", metavar="COUNT",
+    p.add_argument("--count", type=int, dest="sections", metavar="COUNT",
                    help="number of sections to synthesize")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--height", type=_positive_int)
-    p.add_argument("--width", type=_positive_int)
+    p.add_argument("--height", type=int)
+    p.add_argument("--width", type=int)
     p.add_argument("--thickness", nargs=2, type=int,
                    metavar=("MIN", "MAX"), help="layer thickness range, samples")
     p.add_argument("--fold-amplitude", nargs=2, type=float, metavar=("MIN", "MAX"))
@@ -349,8 +328,8 @@ def build_parser():
                    metavar=("MIN", "MAX"), help="wavelet peak period, samples")
     p.add_argument("--noise", nargs=2, type=float,
                    metavar=("MIN", "MAX"), help="noise sigma as fraction of rms")
-    p.add_argument("--mask-dilation", type=_nonneg_int)
-    p.add_argument("--stride", type=_positive_int)
+    p.add_argument("--mask-dilation", type=int)
+    p.add_argument("--stride", type=int)
     p.set_defaults(func=cmd_gen)
 
     p = command("train", help="train a model on a patch dataset")
@@ -358,19 +337,19 @@ def build_parser():
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--attention", choices=sorted(ATTENTION_CHOICES),
                    default="self")
-    p.add_argument("--epochs", type=_positive_int)
+    p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float, dest="learning_rate", metavar="LR")
-    p.add_argument("--batch", type=_positive_int, dest="batch_size", metavar="BATCH")
-    p.add_argument("--split", type=_fraction, dest="fraction", metavar="SPLIT",
+    p.add_argument("--batch", type=int, dest="batch_size", metavar="BATCH")
+    p.add_argument("--split", type=float, dest="fraction", metavar="SPLIT",
                    help="training fraction of the data")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--count-limit", type=_positive_int, default=None,
                    help="use only the first N samples")
     p.add_argument("--log", default=None, help="write per-epoch lines here")
-    p.add_argument("--se-ratio", type=_attention_size)
-    p.add_argument("--heads", type=_attention_size)
-    p.add_argument("--dk", type=_attention_size, dest="d_k", metavar="DK")
-    p.add_argument("--dv", type=_attention_size, dest="d_v", metavar="DV")
+    p.add_argument("--se-ratio", type=int)
+    p.add_argument("--heads", type=int)
+    p.add_argument("--dk", type=int, dest="d_k", metavar="DK")
+    p.add_argument("--dv", type=int, dest="d_v", metavar="DV")
     p.add_argument("--pos-weight", type=float,
                    help="optional loss weight for heterogeneity pixels")
     p.set_defaults(func=cmd_train)
@@ -381,10 +360,10 @@ def build_parser():
     p.add_argument("--out", required=True, help="fine-tuned checkpoint path")
     p.add_argument("--attention", choices=sorted(ATTENTION_CHOICES), default=None,
                    help="assert the checkpoint's variant")
-    p.add_argument("--epochs", type=_positive_int)
+    p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float, dest="learning_rate", metavar="LR")
-    p.add_argument("--batch", type=_positive_int, dest="batch_size", metavar="BATCH")
-    p.add_argument("--freeze-prefix", type=_nonneg_int,
+    p.add_argument("--batch", type=int, dest="batch_size", metavar="BATCH")
+    p.add_argument("--freeze-prefix", type=int,
                    help="number of leading layers to freeze, 0-10, counting"
                         " the six convs, attention, up1, up2 and head")
     p.add_argument("--seed", type=int, default=None)
@@ -400,16 +379,16 @@ def build_parser():
     src.add_argument("--raw", help="raw float32 section dump")
     p.add_argument("--axis", choices=("inline", "crossline"), default="inline")
     p.add_argument("--line", type=int, default=None, help="line number (with --segy)")
-    p.add_argument("--height", type=_positive_int, default=None,
+    p.add_argument("--height", type=int, default=None,
                    help="rows of the raw section (with --raw)")
-    p.add_argument("--width", type=_positive_int, default=None,
+    p.add_argument("--width", type=int, default=None,
                    help="columns of the raw section (with --raw)")
-    p.add_argument("--inline-byte", type=_positive_int)
-    p.add_argument("--crossline-byte", type=_positive_int)
+    p.add_argument("--inline-byte", type=int)
+    p.add_argument("--crossline-byte", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("pgm", "csv"), default="pgm")
-    p.add_argument("--stride", type=_positive_int, default=REAL_PATCH_STRIDE)
-    p.add_argument("--batch", type=_positive_int, dest="batch_size", metavar="BATCH")
+    p.add_argument("--stride", type=int, default=REAL_PATCH_STRIDE)
+    p.add_argument("--batch", type=int, dest="batch_size", metavar="BATCH")
     p.set_defaults(func=cmd_predict)
 
     p = command("eval", help="score a confidence map against a mask")
@@ -424,6 +403,8 @@ def build_parser():
     p.add_argument("--diff", default=None, help="second checkpoint to compare")
     p.set_defaults(func=cmd_info)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -432,10 +413,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SeishetError as exc:
-        print("seishet: error: %s" % exc, file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SeishetError, OSError) as exc:
         print("seishet: error: %s" % exc, file=sys.stderr)
         return 1
 

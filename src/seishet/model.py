@@ -71,8 +71,8 @@ PATCH = 44  # network input side: every synthetic patch and upscaled real window
 GRID = PATCH // 4
 VARIANTS = ("se", "self_attention")
 
-# Largest se_ratio, heads, d_k or d_v that train accepts and a checkpoint
-# may declare; it keeps a damaged header from sizing a huge model.
+# Largest se_ratio, heads, d_k or d_v that NetConfig accepts; it keeps a
+# damaged checkpoint header from sizing a huge model.
 MAX_ATTENTION_SIZE = 4096
 
 CHECKPOINT_MAGIC = b"SHNCKPT1"
@@ -100,6 +100,13 @@ class NetConfig:
     heads: int = 4
     d_k: int = 32
     d_v: int = 32
+
+    def validate(self):
+        for name, value in vars(self).items():
+            if not 1 <= value <= MAX_ATTENTION_SIZE:
+                raise ConfigError("%s must be at least 1 and at most %d, got %d"
+                                  % (name, MAX_ATTENTION_SIZE, value))
+        return self
 
 
 # Patches per chunk of a patch-parallel forward or training step: small, so
@@ -164,7 +171,7 @@ class HetNet:
                 "unknown variant %r, expected one of %s" % (variant, VARIANTS)
             )
         self.variant = variant
-        self.config = config or NetConfig()
+        self.config = (config or NetConfig()).validate()
         self.dtype = dtype
         cfg = self.config
         # built in this order, which fixes the initial-weight draws
@@ -527,10 +534,6 @@ def load_checkpoint(path):
             raise FormatError("unsupported checkpoint version %d" % version)
         if vcode not in _VARIANT_NAME:
             raise FormatError("unknown attention variant code %d" % vcode)
-        if not all(1 <= v <= MAX_ATTENTION_SIZE for v in (ratio, heads, d_k, d_v)):
-            raise IntegrityError(
-                "implausible attention hyperparameters: se_ratio=%d heads=%d"
-                " d_k=%d d_v=%d" % (ratio, heads, d_k, d_v))
         config = NetConfig(se_ratio=ratio, heads=heads, d_k=d_k, d_v=d_v)
         try:
             model = HetNet(_VARIANT_NAME[vcode], prng=None, config=config)

@@ -31,9 +31,8 @@ from .model import PATCH, channel_softmax
 from .pgm import read_pgm, write_pgm
 from .synthgen import Sample, normalize_windows, window_corners
 
-TEXT_HEADER_LEN = 3200
 TRACE_HEADER_LEN = 240
-FILE_HEADER_LEN = TEXT_HEADER_LEN + 400  # then the 400-byte binary header
+FILE_HEADER_LEN = 3600  # the 3200-byte text header, then the 400-byte binary one
 SCAN_CHUNK_BYTES = 4 << 20
 
 REAL_PATCH_SRC = 20  # window side on the section grid, upscaled to PATCH
@@ -70,12 +69,11 @@ class SegyVolume:
     orthogonal key) with ties in file order, the orthogonal keys in that
     order, and each line's [start, stop) slice of both, lines ascending."""
 
-    def __init__(self, path, ns, fmt, sample_interval_us, text_header, keys):
+    def __init__(self, path, ns, fmt, sample_interval_us, keys):
         self.path = path
         self.ns = ns
         self.format_code = fmt
         self.sample_interval_us = sample_interval_us
-        self.text_header = text_header
         self.n_traces = keys.shape[1]
         self._index = {}
         for axis, (key, orth) in (("inline", keys), ("crossline", keys[::-1])):
@@ -149,7 +147,7 @@ def open_volume(path, inline_byte=189, crossline_byte=193):
                     % (path, start + bad[0] + 1, headers["ns"][bad[0]], ns)
                 )
             keys[:, start:start + count] = headers["il"], headers["xl"]
-    return SegyVolume(path, ns, fmt, interval, head[:TEXT_HEADER_LEN], keys)
+    return SegyVolume(path, ns, fmt, interval, keys)
 
 
 def read_section(volume, axis, line):
@@ -244,6 +242,8 @@ def _prepare_windows(section, corners):
 
 def _section_windows(section, stride):
     """The section as float64 and its window corners at stride."""
+    if stride < 1:
+        raise ConfigError("window stride must be at least 1, got %d" % stride)
     section = np.asarray(section, dtype=np.float64)
     if section.ndim != 2:
         raise DimensionError("expected a 2D section, got rank %d" % section.ndim)
@@ -285,6 +285,8 @@ def tile_predict(model, section, stride=REAL_PATCH_STRIDE, batch_size=64):
     average; pixels no window covers stay 0. The result does not depend on
     window order.
     """
+    if batch_size < 1:
+        raise ConfigError("batch size must be at least 1, got %d" % batch_size)
     section, corners = _section_windows(section, stride)
     h, w = section.shape
     src = REAL_PATCH_SRC
@@ -339,6 +341,9 @@ def load_section_mask(directory, axis, line, shape=None):
 
 def read_raw_section(path, height, width):
     """Load a raw little-endian float32 row-major section dump."""
+    if height < 1 or width < 1:
+        raise ConfigError("raw section must be at least 1x1, got %dx%d"
+                          % (height, width))
     expected = 4 * height * width
     with open(path, "rb") as fh:
         raw = fh.read()

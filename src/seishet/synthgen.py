@@ -56,11 +56,12 @@ class SyntheticConfig:
                 % (self.height, self.width, PATCH)
             )
         if self.sections < 1:
-            raise ConfigError("need at least one section")
+            raise ConfigError("need at least one section, got %d" % self.sections)
         if self.stride < 1:
-            raise ConfigError("stride must be positive")
+            raise ConfigError("stride must be positive, got %d" % self.stride)
         if self.mask_dilation < 0:
-            raise ConfigError("mask dilation must be nonnegative")
+            raise ConfigError("mask dilation must be nonnegative, got %d"
+                              % self.mask_dilation)
         for name in ("thickness", "fold_amplitude", "fold_wavelength", "shear",
                      "faults", "dip_degrees", "throw", "wavelet_period", "noise"):
             lo, hi = getattr(self, name)
@@ -204,8 +205,10 @@ def ricker(peak_period, length):
     if peak_period <= 0:
         raise ConfigError("ricker peak period must be positive")
     t = np.arange(length, dtype=np.float64) - length // 2
-    a = (math.pi * t / peak_period) ** 2
-    return (1.0 - 2.0 * a) * np.exp(-a)
+    with np.errstate(over="ignore"):  # a tiny period may give a = inf
+        a = (math.pi * t / peak_period) ** 2
+    # e^-a is 0 from a = 746 on: the cap changes no value but keeps inf * 0 out
+    return (1.0 - 2.0 * np.minimum(a, 1e3)) * np.exp(-a)
 
 
 def convolve_traces(section, wavelet):

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, DimensionError, EvaluationError
+from .errors import ConfigError, DataError, DimensionError, EvaluationError
 from .metrics import ConfusionCounts, confusion_counts, report_from_counts
 from .model import channel_softmax
 from .numcore import Prng
@@ -43,9 +43,10 @@ class TrainConfig:
 
     def validate(self):
         if self.epochs < 1:
-            raise DataError("epochs must be at least 1")
+            raise DataError("epochs must be at least 1, got %d" % self.epochs)
         if self.batch_size < 1:
-            raise DataError("batch size must be at least 1")
+            raise DataError("batch size must be at least 1, got %d"
+                            % self.batch_size)
         if not 0.0 < self.learning_rate < np.inf:
             raise DataError("learning rate must be positive and finite")
         if self.pos_weight is not None and not 0.0 < self.pos_weight < np.inf:
@@ -73,14 +74,17 @@ class EpochStats:
         )
 
 
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamState:
     """Per-parameter first/second moments plus the shared step counter."""
 
-    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, learning_rate):
         self.lr = float(learning_rate)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p) for name, p in params.items()}
         self.v = {name: np.zeros_like(p) for name, p in params.items()}
@@ -89,8 +93,8 @@ class AdamState:
 def adam_step(state, params, grads, freeze=None):
     """One bias-corrected Adam update, in place on the parameter arrays."""
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for name, p in params.items():
         if freeze is not None and freeze.get(name, False):
             continue
@@ -102,16 +106,22 @@ def adam_step(state, params, grads, freeze=None):
             )
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params
 
 
 def split_dataset(samples, fraction=0.8, seed=0):
-    """Seeded shuffle then prefix/suffix split into train and test lists."""
+    """Seeded shuffle then prefix/suffix split into train and test lists.
+
+    `fraction`, in (0, 1), is the training share; each side keeps at
+    least one sample.
+    """
+    if not 0.0 < fraction < 1.0:  # also false for nan
+        raise ConfigError("split fraction must lie in (0, 1), got %r" % fraction)
     n = len(samples)
     if n < 2:
         raise DataError("need at least 2 samples to split, got %d" % n)
@@ -132,7 +142,7 @@ def stack_samples(samples):
     return x, y
 
 
-def evaluate_batched(model, x, y, batch_size=64, start=0):
+def evaluate_batched(model, x, y, batch_size, start=0):
     """Micro-averaged metrics of the model's predictions thresholded at 0.5.
 
     x is the activation entering step `start` of the model's walk.

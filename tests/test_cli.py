@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -74,8 +75,8 @@ def test_gen_same_flags_bitwise_identical(workspace, tmp_path):
 
 def test_gen_rejects_zero_count(tmp_path):
     r = run_cli("gen", "--out", tmp_path / "d", "--count", "0")
-    assert r.returncode == 2
-    assert "--count" in r.stderr
+    assert r.returncode == 1
+    assert r.stderr == "seishet: error: need at least one section, got 0\n"
 
 
 def test_gen_rejects_zero_fold_wavelength(tmp_path):
@@ -206,7 +207,7 @@ def test_train_missing_dataset_exits_1(tmp_path):
 def test_train_rejects_out_of_range_split(workspace, tmp_path):
     r = run_cli("train", "--data", workspace["data"], "--out", tmp_path / "x.ckpt",
                 "--split", "1.5")
-    assert r.returncode == 2
+    assert r.returncode == 1
 
 
 @pytest.mark.parametrize("flag,value", [("--lr", "0"), ("--pos-weight", "-1")])
@@ -225,7 +226,7 @@ def test_train_rejects_attention_size_a_checkpoint_could_not_hold(workspace, tmp
     out = tmp_path / "x.ckpt"
     r = run_cli("train", "--data", workspace["data"], "--out", out,
                 "--epochs", "1", flag, "4097")
-    assert r.returncode == 2
+    assert r.returncode == 1
     assert "at most 4096" in r.stderr
     assert not out.exists()
 
@@ -404,6 +405,75 @@ def test_predict_missing_line_lists_range(workspace, tmp_path):
                 "--line", "99", "--out", tmp_path / "m.pgm")
     assert r.returncode == 1
     assert "available" in r.stderr
+
+
+# ---------------------------------------------------------------- library bounds
+
+# Every flag value a library function takes, each with a value out of its
+# range: argparse parses it, and the library rejects it.
+_OUT_OF_RANGE = [
+    ("gen", "--count", "-2"), ("gen", "--height", "-3"), ("gen", "--width", "-4"),
+    ("gen", "--mask-dilation", "-1"), ("gen", "--stride", "-5"),
+    ("train", "--epochs", "-1"), ("train", "--batch", "-2"),
+    ("train", "--split", "1.5"), ("train", "--se-ratio", "4097"),
+    ("train", "--heads", "0"), ("train", "--dk", "4097"), ("train", "--dv", "-1"),
+    ("finetune", "--epochs", "0"), ("finetune", "--batch", "-3"),
+    ("finetune", "--freeze-prefix", "-1"),
+    ("predict", "--height", "-2"), ("predict", "--width", "-3"),
+    ("predict", "--inline-byte", "0"), ("predict", "--crossline-byte", "-1"),
+    ("predict", "--stride", "0"), ("predict", "--batch", "-1"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", _OUT_OF_RANGE)
+def test_out_of_range_value_exits_1_and_writes_nothing(workspace, raw_section,
+                                                       tmp_path, command, flag,
+                                                       value):
+    out, log = tmp_path / "out", tmp_path / "log"
+    args = {
+        "gen": ["--count", "1", "--height", "44", "--width", "44"],
+        "train": ["--data", workspace["data"], "--epochs", "1", "--log", log],
+        "finetune": ["--ckpt", workspace["ckpt"], "--data", workspace["data"],
+                     "--epochs", "1", "--log", log],
+        "predict": ["--ckpt", workspace["ckpt"], "--raw", raw_section,
+                    "--height", "30", "--width", "30"],
+    }[command]
+    if flag.endswith("-byte"):
+        traces = [(1, xl, [0.5] * 24) for xl in range(20)]
+        args = ["--ckpt", workspace["ckpt"], "--line", "1",
+                "--segy", write_segy(tmp_path / "v.sgy", traces)]
+    r = run_cli(command, "--out", out, *args, flag, value)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("seishet: error: ") and r.stderr.count("\n") == 1
+    assert re.search(r"(?<![\d.-])%s(?![\d.])" % re.escape(value), r.stderr)
+    assert not out.exists() and not log.exists()
+
+
+def test_gen_reads_a_negative_bound_in_exponent_notation(tmp_path):
+    r = run_cli("gen", "--out", tmp_path / "d", "--count", "1", "--height", "44",
+                "--width", "44", "--shear", "-1e-3", "0.2")
+    assert r.returncode == 0, r.stderr
+    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    assert manifest["config"]["shear"] == [-0.001, 0.2]
+
+
+def test_train_reads_a_negative_rate_in_exponent_notation(workspace, tmp_path):
+    """Every command parses -1e-3 as a number, so the library rejects it."""
+    out = tmp_path / "x.ckpt"
+    r = run_cli("train", "--data", workspace["data"], "--out", out, "--lr", "-1e-3")
+    assert r.returncode == 1
+    assert r.stderr.startswith("seishet: error: learning rate must be positive")
+    assert not out.exists()
+
+
+def test_gen_and_train_survive_a_tiny_wavelet_period(tmp_path):
+    r = run_cli("gen", "--out", tmp_path / "d", "--count", "2", "--height", "44",
+                "--width", "44", "--wavelet-period", "1e-200", "1e-200")
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
+    r = run_cli("train", "--data", tmp_path / "d", "--out", tmp_path / "m.ckpt",
+                "--epochs", "1")
+    assert r.returncode == 0, r.stderr
 
 
 # ---------------------------------------------------------------- eval

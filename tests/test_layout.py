@@ -7,9 +7,11 @@ pyproject.toml. Test oracles and helpers live in tests/conftest.py
 instead, and a helper whose last caller goes fails here.
 
 A command line flag that sets a library value takes no default of its
-own, so the library's default is the only one.
+own, so the library's default is the only one, and no range check, so
+the library's bounds are the only ones.
 """
 
+import argparse
 import ast
 import os
 import re
@@ -78,23 +80,45 @@ def _names(*classes):
 
 
 # Each command with its required flags, and the library values its other
-# flags set: config fields, split_dataset's fraction, tile_predict's
-# batch_size and open_volume's header bytes.
+# flags set: config fields, split_dataset's fraction, tile_predict's stride
+# and batch_size, read_raw_section's height and width, read_section's line
+# and open_volume's header bytes.
 _LIBRARY_VALUES = {
     ("gen", "--out", "d"): _names(SyntheticConfig),
     ("train", "--data", "d", "--out", "m"):
         _names(TrainConfig, NetConfig) | {"fraction"},
     ("finetune", "--ckpt", "c", "--data", "d", "--out", "m"): _names(TrainConfig),
     ("predict", "--ckpt", "c", "--raw", "r", "--out", "o"):
-        {"batch_size", "inline_byte", "crossline_byte"},
+        {"stride", "batch_size", "height", "width", "line", "inline_byte",
+         "crossline_byte"},
 }
+
+# Flags that keep a default of their own. --seed's None falls back to
+# SEISHET_SEED. predict's coverage line needs the stride, which defaults to
+# segy.REAL_PATCH_STRIDE, and None marks --height, --width and --line as
+# not given: each is needed with only one of --raw and --segy.
+_OWN_DEFAULTS = {"gen": {"seed"}, "train": {"seed"}, "finetune": {"seed"},
+                 "predict": {"stride", "height", "width", "line"}}
 
 
 def test_cli_flags_leave_library_values_to_the_library():
     """An omitted flag that sets a library value is absent from the parsed
-    namespace. --seed is the exception: its None falls back to SEISHET_SEED."""
+    namespace, unless it keeps a default of its own for the reason above."""
     parser = build_parser()
     for argv, library in _LIBRARY_VALUES.items():
         parsed = vars(parser.parse_args(argv))
-        defaulted = sorted(set(parsed) & library - {"seed"})
+        defaulted = sorted(set(parsed) & library - _OWN_DEFAULTS[argv[0]])
         assert defaulted == [], "%s flags with a default: %s" % (argv[0], defaulted)
+
+
+def test_cli_flags_leave_the_range_of_library_values_to_the_library():
+    """A flag that sets a library value only parses a number: the library
+    checks its range, so a value out of it exits 1 like any rejected value."""
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    for argv, library in _LIBRARY_VALUES.items():
+        checked = sorted(action.dest for action in commands[argv[0]]._actions
+                         if action.dest in library
+                         and action.type not in (int, float, None))
+        assert checked == [], "%s flags range-checked while parsing: %s" % (
+            argv[0], checked)

@@ -501,6 +501,17 @@ def test_all_frozen_walk_scores_the_cached_logits(net_and_batch):
     model.set_freeze_prefix(0)
 
 
+@pytest.mark.parametrize("variant", ["se", "self_attention"])
+@pytest.mark.parametrize("field,value", [("se_ratio", 0), ("heads", 0),
+                                         ("d_k", 4097)])
+def test_build_network_rejects_attention_sizes_outside_1_to_4096(variant, field,
+                                                                 value):
+    """Every field is checked, whichever variant uses it."""
+    with pytest.raises(ConfigError, match="%s must be at least 1 and at most 4096,"
+                       " got %d" % (field, value)):
+        build_network(variant, Prng(1), NetConfig(**{field: value}))
+
+
 @pytest.mark.parametrize("prefix", [-1, 11])
 def test_set_freeze_prefix_rejects_counts_outside_the_layers(prefix):
     model = build_network("se", Prng(45))

@@ -578,6 +578,11 @@ def test_real_patches_rejects_small_section():
         real_patches(np.zeros((10, 30)), np.zeros((10, 30)))
 
 
+def test_real_patches_rejects_stride_zero():
+    with pytest.raises(ConfigError, match="stride must be at least 1, got 0"):
+        real_patches(np.zeros((30, 30)), np.zeros((30, 30)), stride=0)
+
+
 # ---------------------------------------------------------------- tile_predict
 
 class _ConstantLogitModel:
@@ -688,6 +693,20 @@ def test_tile_predict_rejects_small_section():
         tile_predict(_ConstantLogitModel(), np.zeros((10, 10)))
 
 
+@pytest.mark.parametrize("stride", [0, -5])
+def test_tile_predict_rejects_a_stride_below_1(stride):
+    with pytest.raises(ConfigError, match="stride must be at least 1, got %d" % stride):
+        tile_predict(_ConstantLogitModel(), np.zeros((30, 30)), stride=stride)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_tile_predict_rejects_a_batch_size_below_1(batch_size):
+    with pytest.raises(ConfigError, match="batch size must be at least 1, got %d"
+                       % batch_size):
+        tile_predict(_ConstantLogitModel(), np.zeros((30, 30)),
+                     batch_size=batch_size)
+
+
 # ---------------------------------------------------------------- export_map
 
 def test_export_map_zero_payload(tmp_path):
@@ -780,6 +799,14 @@ def test_read_raw_section_closes_its_file(tmp_path):
         read_raw_section(path, 3, 4)
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_read_raw_section_rejects_negative_dimensions(tmp_path):
+    # 4 * -2 * -3 bytes: the size check alone would let these through
+    path = tmp_path / "sec.f32"
+    path.write_bytes(b"\x00" * 24)
+    with pytest.raises(ConfigError, match="at least 1x1, got -2x-3"):
+        read_raw_section(path, -2, -3)
 
 
 def test_raw_section_size_mismatch(tmp_path):

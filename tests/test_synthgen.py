@@ -236,6 +236,23 @@ def test_ricker_center_symmetry_and_zero_crossing():
         ricker(0.0, 49)
 
 
+def test_ricker_at_a_tiny_period_is_the_spike_it_tends_to():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wav = ricker(1e-200, 3)
+    assert wav.tobytes() == ricker(1e-3, 3).tobytes()
+    assert wav.tobytes() == np.array([-0.0, 1.0, -0.0]).tobytes()
+
+
+def test_ricker_keeps_the_formula_bit_for_bit_at_gen_periods():
+    for period in Prng(17).uniform(12.0, 25.0, 50).tolist() + [12.0, 25.0]:
+        length = 2 * math.ceil(1.5 * period) + 1
+        t = np.arange(length, dtype=np.float64) - length // 2
+        a = (math.pi * t / period) ** 2
+        want = (1.0 - 2.0 * a) * np.exp(-a)
+        assert ricker(period, length).tobytes() == want.tobytes(), period
+
+
 def test_convolution_of_delta_reproduces_wavelet():
     wav = ricker(12.0, 37)
     sec = np.zeros((101, 3))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import forward_chunks, reference_train, spy_on_walks
-from seishet.errors import DataError, DimensionError, EvaluationError
+from seishet.errors import ConfigError, DataError, DimensionError, EvaluationError
 from seishet.layers import cross_entropy_2class
 from seishet.model import build_network, save_checkpoint
 from seishet.numcore import Prng, set_blas_threads
@@ -58,6 +58,13 @@ def test_split_sizes_and_determinism():
 def test_split_rejects_tiny_input():
     with pytest.raises(DataError):
         split_dataset([1], 0.8, seed=0)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -1.0, float("nan")])
+def test_split_rejects_a_fraction_outside_the_open_unit_interval(fraction):
+    with pytest.raises(ConfigError, match="split fraction must lie in"
+                       r" \(0, 1\), got %r" % fraction):
+        split_dataset(list(range(10)), fraction, seed=0)
 
 
 def test_split_never_empties_either_side():
