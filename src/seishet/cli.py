@@ -413,7 +413,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SeishetError, OSError) as exc:
+    except (SeishetError, OSError, MemoryError) as exc:
         print("seishet: error: %s" % exc, file=sys.stderr)
         return 1
 

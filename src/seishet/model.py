@@ -28,7 +28,9 @@ gives them at any thread count). `HetNet.loss_and_grads` cuts it into fixed
 chunks of _CHUNK patches, walks each forward and back at one OpenBLAS
 thread and sums the gradients in chunk order, so a training step, and
 with it a checkpoint, is the same on one or two OpenBLAS threads and with
-or without the pool. A batch of one chunk, a run with one worker and a
+or without the pool. Each fan-out opens its own pool and joins it before
+returning, so no worker thread outlives a call and a forked child needs
+nothing special. A batch of one chunk, a run with one worker and a
 model with a layer method replaced on the instance (a hook or a
 profiler's wrapper, which may not be safe to call from two threads) run
 the same chunks on the calling thread, still at one OpenBLAS thread.
@@ -38,7 +40,7 @@ import contextvars
 import os
 import struct
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,28 +116,8 @@ class NetConfig:
 # rather than rises.
 _CHUNK = 8
 
-# One fan-out at a time holds OpenBLAS at one thread and uses the pool,
-# {(process id, workers): executor}, which is read under this lock only.
+# One fan-out at a time holds OpenBLAS at one thread.
 _FANOUT_LOCK = threading.Lock()
-_pool = {}
-
-
-def _executor(workers):
-    """This process's pool of `workers` threads, built on first use.
-
-    Keyed by process id, so that a forked child builds its own pool
-    instead of waiting on threads it does not have. A pool of this
-    process that a new worker count replaces is shut down; a parent's
-    pool, whose threads a child does not have, is only dropped.
-    """
-    key = (os.getpid(), workers)
-    if key not in _pool:
-        for (pid, _), old in _pool.items():
-            if pid == key[0]:
-                old.shutdown(wait=False)
-        _pool.clear()
-        _pool[key] = ThreadPoolExecutor(workers, "seishet-forward")
-    return _pool[key]
 
 
 def _hooked(layer):
@@ -273,14 +255,15 @@ class HetNet:
         """[task(*args) for args in cut(workers)] at one OpenBLAS thread,
         in order.
 
-        The chunks run on this process's pool of min(OpenBLAS threads,
-        usable CPUs) workers, a count `cut` may use to make them. With one
-        chunk, one worker, or a layer method replaced on the instance (a
-        hook or a profiler's wrapper, which need not be thread-safe), they
-        run on the calling thread instead. One lock lets one caller hold
-        OpenBLAS at one thread at a time; the count is restored afterwards,
-        also when a chunk raises. Workers run under the caller's
-        `np.errstate`.
+        The chunks run on a pool of min(OpenBLAS threads, usable CPUs)
+        workers, a count `cut` may use to make them. The pool is opened for
+        this call and joined before it returns, also when a chunk raises,
+        so no worker thread outlives the call. With one chunk, one worker,
+        or a layer method replaced on the instance (a hook or a profiler's
+        wrapper, which need not be thread-safe), the chunks run on the
+        calling thread instead. One lock lets one caller hold OpenBLAS at
+        one thread at a time; the count is restored afterwards, also when
+        a chunk raises. Workers run under the caller's `np.errstate`.
         """
         hooked = any(_hooked(layer) for _, layer in self._layers)
         with _FANOUT_LOCK:
@@ -291,11 +274,10 @@ class HetNet:
             try:
                 if hooked or workers == 1 or len(chunks) == 1:
                     return [task(*args) for args in chunks]
-                pool = _executor(workers)
-                # a copy of the caller's context carries its np.errstate
-                parts = [pool.submit(contextvars.copy_context().run, task,
-                                     *args) for args in chunks]
-                wait(parts)
+                with ThreadPoolExecutor(workers, "seishet-forward") as pool:
+                    # a copy of the caller's context carries its np.errstate
+                    parts = [pool.submit(contextvars.copy_context().run,
+                                         task, *args) for args in chunks]
                 return [p.result() for p in parts]
             finally:
                 set_blas_threads(threads)
@@ -317,12 +299,10 @@ class HetNet:
 
         def cut(workers):
             count = min(len(x), -(-len(x) // (_CHUNK * workers)) * workers)
-            # a batch of one chunk is passed on whole, not as a slice of itself
-            batches = [x] if count <= 1 else np.array_split(x, count)
-            return [(b, None, start, stop) for b in batches]
+            return [(b, None, start, stop)
+                    for b in np.array_split(x, max(count, 1))]
 
-        parts = self._in_chunks(self.walk, cut)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return np.concatenate(self._in_chunks(self.walk, cut))
 
     def loss_and_grads(self, x, target, pos_weight=None, start=0):
         """One training step's forward+backward from step `start` on.
@@ -335,28 +315,24 @@ class HetNet:
         The batch is cut into consecutive chunks of _CHUNK patches (the
         last may be smaller), whatever the worker count. Each chunk is
         walked, scored against the whole batch's loss normalizer and walked
-        back at one OpenBLAS thread, on `forward`'s pool or on the calling
-        thread (see `_in_chunks`), and its tape is freed when its backward
-        walk ends. Losses and gradients are summed in chunk order, so the
-        result depends on neither the thread count nor the pool.
+        back at one OpenBLAS thread, on a pool opened for the call or on the
+        calling thread (see `_in_chunks`), and its tape is freed when its
+        backward walk ends. Losses and gradients are summed in chunk order,
+        so the result depends on neither the thread count nor the pool.
         """
         if start == 0:
             x = self._checked(x)
         target = np.asarray(target)
         norm = loss_normalizer((len(x), 2, PATCH, PATCH), target, pos_weight)
-        cuts = range(0, len(x), _CHUNK)
-        chunks = ([(x[i:i + _CHUNK], target[i:i + _CHUNK], pos_weight, norm,
-                    start) for i in cuts] if len(cuts) > 1
-                  else [(x, target, pos_weight, norm, start)])
+        chunks = [(x[i:i + _CHUNK], target[i:i + _CHUNK], pos_weight, norm,
+                   start) for i in range(0, len(x), _CHUNK)]
         parts = self._in_chunks(self._step, lambda workers: chunks)
         loss, grads = 0.0, {}
         for part, _, part_grads in parts:
             loss += part
             for name, g in part_grads.items():
                 grads[name] = grads[name] + g if name in grads else g
-        logits = (parts[0][1] if len(parts) == 1
-                  else np.concatenate([p[1] for p in parts]))
-        return loss, logits, grads
+        return loss, np.concatenate([p[1] for p in parts]), grads
 
     def _step(self, x, target, pos_weight, norm, start):
         """Walk, score and walk back one batch; its tape dies with the call."""

@@ -55,6 +55,10 @@ class SyntheticConfig:
                 "section %dx%d is smaller than the %d patch"
                 % (self.height, self.width, PATCH)
             )
+        # numpy sizes no array of 2**63 bytes or more: 2**60 float64 pixels
+        if self.height * self.width >= 2 ** 60:
+            raise ConfigError("section %dx%d has more pixels than numpy can"
+                              " hold, 2**60 or more" % (self.height, self.width))
         if self.sections < 1:
             raise ConfigError("need at least one section, got %d" % self.sections)
         if self.stride < 1:
@@ -167,13 +171,17 @@ def apply_faults(section, config, prng):
         direction = 1.0 if prng.uniform(0.0, 1.0) < 0.5 else -1.0
         x0 = prng.uniform(0.0, w - 1.0)
         throw = int(prng.randint(int(config.throw[0]), int(config.throw[1])))
-        line_x = x0 + (ys - h / 2.0) * direction / math.tan(dip)
+        # a dip near 0 sends rows to +-inf, and the middle one to NaN
+        # once the dip's radians underflow to 0
+        with np.errstate(all="ignore"):
+            line_x = x0 + (ys - h / 2.0) * direction / math.tan(dip)
         side = np.arange(w)[None, :] > line_x[:, None]
         out = np.where(side, _integer_shift_down(out, throw), out)
         mask = np.where(side, _integer_shift_down(mask, throw), mask)
-        cols = np.rint(line_x).astype(np.int64)
+        # rows whose trace leaves the section are dropped before the cast
+        cols = np.rint(line_x)
         rows_in = (cols >= 0) & (cols < w)
-        mask[np.arange(h)[rows_in], cols[rows_in]] = True
+        mask[np.arange(h)[rows_in], cols[rows_in].astype(np.int64)] = True
     return out, _dilate_square(mask, config.mask_dilation).astype(np.uint8)
 
 

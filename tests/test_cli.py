@@ -476,6 +476,30 @@ def test_gen_and_train_survive_a_tiny_wavelet_period(tmp_path):
     assert r.returncode == 0, r.stderr
 
 
+@pytest.mark.parametrize("dip", ["1e-300", "1e-320"])
+def test_gen_survives_a_near_zero_dip(tmp_path, dip):
+    """Fault rows that leave the section, at +-inf or NaN, draw no warning."""
+    r = run_cli("gen", "--out", tmp_path / "d", "--count", "2", "--height", "44",
+                "--width", "44", "--dip", dip, dip)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
+
+
+@pytest.mark.parametrize("height,message", [
+    # a section numpy cannot size, and one no address space can hold
+    ("100000000000000000000", "100000000000000000000x44"),
+    ("10000000000000000", "Unable to allocate"),
+])
+def test_gen_rejects_an_oversized_section_in_one_line(tmp_path, height, message):
+    out = tmp_path / "d"
+    r = run_cli("gen", "--out", out, "--count", "1", "--height", height,
+                "--width", "44")
+    assert r.returncode == 1
+    assert r.stderr.startswith("seishet: error: ") and r.stderr.count("\n") == 1
+    assert message in r.stderr
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- eval
 
 def test_eval_identical_masks_score_one(tmp_path):

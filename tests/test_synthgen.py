@@ -73,6 +73,15 @@ def test_config_accepts_the_int64_extremes():
     SyntheticConfig(throw=(0, 2 ** 63 - 1)).validate()
 
 
+@pytest.mark.parametrize("height,width", [(2 ** 63, 44), (44, 2 ** 63),
+                                          (2 ** 30, 2 ** 30)])
+def test_config_rejects_a_section_numpy_cannot_size(height, width):
+    """A float64 section of 2**60 pixels or more has 2**63 bytes or more."""
+    with pytest.raises(ConfigError, match="section %dx%d" % (height, width)):
+        SyntheticConfig(height=height, width=width).validate()
+    SyntheticConfig(height=2 ** 30, width=2 ** 30 - 1).validate()
+
+
 def test_reflectivity_columns_identical():
     cfg = SyntheticConfig(height=128, width=32)
     r = generate_reflectivity(cfg, Prng(2))
