@@ -12,6 +12,7 @@ environment variable is used, then 0.
 """
 
 import argparse
+import copy
 import functools
 import inspect
 import os
@@ -40,19 +41,17 @@ from .model import (
 from .numcore import Prng
 from .pgm import read_pgm, read_pgm_with_maxval
 from .segy import (
-    REAL_PATCH_SRC,
-    REAL_PATCH_STRIDE,
     export_map,
     open_volume,
     read_raw_section,
     read_section,
     tile_predict,
+    window_hits,
 )
 from .synthgen import (
     SyntheticConfig,
     generate_dataset,
     read_dataset,
-    window_corners,
     write_dataset,
 )
 from .train import FINETUNE_RECIPE, TrainConfig, finetune, split_dataset, train
@@ -121,11 +120,11 @@ def cmd_gen(args):
     return 0
 
 
-def _load_samples(path, limit):
-    samples, _ = read_dataset(path)
-    if limit is not None:
-        samples = samples[:limit]
-    return samples
+def _load_samples(args):
+    """The first --count-limit samples, copied so that the rest is freed."""
+    samples = read_dataset(args.data)[0]
+    kept = samples[:args.count_limit]
+    return copy.deepcopy(kept) if len(kept) < len(samples) else kept
 
 
 def _fit(fit, base, model, samples, args, master, heldout=None):
@@ -153,7 +152,7 @@ def _fit(fit, base, model, samples, args, master, heldout=None):
 
 
 def cmd_train(args):
-    samples = _load_samples(args.data, args.count_limit)
+    samples = _load_samples(args)
     master = Prng(_resolve_seed(args.seed))
     train_set, test_set = split_dataset(samples, seed=master.derive(1).seed,
                                         **_given(args, split_dataset))
@@ -177,7 +176,7 @@ def cmd_finetune(args):
                 "checkpoint variant %r does not match --attention %s"
                 % (model.variant, args.attention)
             )
-    samples = _load_samples(args.data, args.count_limit)
+    samples = _load_samples(args)
     model, _ = _fit(finetune, FINETUNE_RECIPE, model, samples, args,
                     Prng(_resolve_seed(args.seed)))
     frozen = [name for name, flag in model.freeze.items() if flag]
@@ -206,12 +205,9 @@ def cmd_predict(args):
         "wrote %s confidence map %dx%d to %s"
         % (args.format, prob_map.shape[0], prob_map.shape[1], args.out)
     )
-    corners = window_corners(*prob_map.shape, REAL_PATCH_SRC, args.stride)
-    covered = np.zeros(prob_map.shape, dtype=bool)
-    for y, x in corners:
-        covered[y:y + REAL_PATCH_SRC, x:x + REAL_PATCH_SRC] = True
+    _, corners, hits = window_hits(section, **_given(args, window_hits))
     print("%d windows cover %d of %d pixels"
-          % (len(corners), covered.sum(), covered.size))
+          % (len(corners), np.count_nonzero(hits), hits.size))
     return 0
 
 
@@ -332,26 +328,36 @@ def build_parser():
     p.add_argument("--stride", type=int)
     p.set_defaults(func=cmd_gen)
 
+    # train's and finetune's shared flags, taken in place (parents= lists them first)
+    fit = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    fit.add_argument("--epochs", type=int)
+    fit.add_argument("--lr", type=float, dest="learning_rate", metavar="LR")
+    fit.add_argument("--batch", type=int, dest="batch_size", metavar="BATCH")
+    fit.add_argument("--seed", type=int, default=None)
+    fit.add_argument("--count-limit", type=_positive_int, default=None,
+                     help="use only the first N samples")
+    fit.add_argument("--log", default=None, help="write per-epoch lines here")
+    fit.add_argument("--pos-weight", type=float,
+                     help="optional loss weight for heterogeneity pixels")
+
+    def take(p, *flags):
+        for flag in flags:
+            p._add_action(fit._option_string_actions[flag])
+
     p = command("train", help="train a model on a patch dataset")
     p.add_argument("--data", required=True, help="dataset directory from gen")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--attention", choices=sorted(ATTENTION_CHOICES),
                    default="self")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float, dest="learning_rate", metavar="LR")
-    p.add_argument("--batch", type=int, dest="batch_size", metavar="BATCH")
+    take(p, "--epochs", "--lr", "--batch")
     p.add_argument("--split", type=float, dest="fraction", metavar="SPLIT",
                    help="training fraction of the data")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--count-limit", type=_positive_int, default=None,
-                   help="use only the first N samples")
-    p.add_argument("--log", default=None, help="write per-epoch lines here")
+    take(p, "--seed", "--count-limit", "--log")
     p.add_argument("--se-ratio", type=int)
     p.add_argument("--heads", type=int)
     p.add_argument("--dk", type=int, dest="d_k", metavar="DK")
     p.add_argument("--dv", type=int, dest="d_v", metavar="DV")
-    p.add_argument("--pos-weight", type=float,
-                   help="optional loss weight for heterogeneity pixels")
+    take(p, "--pos-weight")
     p.set_defaults(func=cmd_train)
 
     p = command("finetune", help="transfer-train a checkpoint")
@@ -360,16 +366,11 @@ def build_parser():
     p.add_argument("--out", required=True, help="fine-tuned checkpoint path")
     p.add_argument("--attention", choices=sorted(ATTENTION_CHOICES), default=None,
                    help="assert the checkpoint's variant")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float, dest="learning_rate", metavar="LR")
-    p.add_argument("--batch", type=int, dest="batch_size", metavar="BATCH")
+    take(p, "--epochs", "--lr", "--batch")
     p.add_argument("--freeze-prefix", type=int,
                    help="number of leading layers to freeze, 0-10, counting"
                         " the six convs, attention, up1, up2 and head")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--count-limit", type=_positive_int, default=None)
-    p.add_argument("--log", default=None)
-    p.add_argument("--pos-weight", type=float)
+    take(p, "--seed", "--count-limit", "--log", "--pos-weight")
     p.set_defaults(func=cmd_finetune)
 
     p = command("predict", help="tile a trained model over a section")
@@ -387,7 +388,7 @@ def build_parser():
     p.add_argument("--crossline-byte", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("pgm", "csv"), default="pgm")
-    p.add_argument("--stride", type=int, default=REAL_PATCH_STRIDE)
+    p.add_argument("--stride", type=int)
     p.add_argument("--batch", type=int, dest="batch_size", metavar="BATCH")
     p.set_defaults(func=cmd_predict)
 

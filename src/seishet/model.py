@@ -270,6 +270,8 @@ class HetNet:
             threads = blas_threads()
             workers = min(threads, len(os.sched_getaffinity(0)))
             chunks = cut(workers)
+            if not any(len(args[0]) for args in chunks):
+                raise DimensionError("the batch holds no patch")
             set_blas_threads(1)
             try:
                 if hooked or workers == 1 or len(chunks) == 1:

@@ -240,8 +240,9 @@ def _prepare_windows(section, corners):
         np.stack([section[y:y + src, x:x + src] for y, x in corners]), PATCH, PATCH))
 
 
-def _section_windows(section, stride):
-    """The section as float64 and its window corners at stride."""
+def window_hits(section, stride=REAL_PATCH_STRIDE):
+    """The section as float64, its window corners at stride, and how many
+    windows cover each pixel: the footprint tile_predict blends over."""
     if stride < 1:
         raise ConfigError("window stride must be at least 1, got %d" % stride)
     section = np.asarray(section, dtype=np.float64)
@@ -252,7 +253,11 @@ def _section_windows(section, stride):
         raise DimensionError(
             "section %dx%d is smaller than the %d window" % (h, w, REAL_PATCH_SRC)
         )
-    return section, window_corners(h, w, REAL_PATCH_SRC, stride)
+    corners = window_corners(h, w, REAL_PATCH_SRC, stride)
+    hits = np.zeros((h, w), dtype=np.float64)
+    for y, x in corners:
+        hits[y:y + REAL_PATCH_SRC, x:x + REAL_PATCH_SRC] += 1.0
+    return section, corners, hits
 
 
 def real_patches(section, mask, stride=REAL_PATCH_STRIDE):
@@ -261,7 +266,7 @@ def real_patches(section, mask, stride=REAL_PATCH_STRIDE):
     Amplitude windows are bilinearly rescaled then min-max normalized;
     mask windows are nearest-neighbor rescaled and re-binarized.
     """
-    section, corners = _section_windows(section, stride)
+    section, corners, _ = window_hits(section, stride)
     mask = np.asarray(mask)
     if mask.shape != section.shape:
         raise DimensionError(
@@ -287,11 +292,9 @@ def tile_predict(model, section, stride=REAL_PATCH_STRIDE, batch_size=64):
     """
     if batch_size < 1:
         raise ConfigError("batch size must be at least 1, got %d" % batch_size)
-    section, corners = _section_windows(section, stride)
-    h, w = section.shape
+    section, corners, hits = window_hits(section, stride)
     src = REAL_PATCH_SRC
-    prob_sum = np.zeros((h, w), dtype=np.float64)
-    hits = np.zeros((h, w), dtype=np.float64)
+    prob_sum = np.zeros_like(hits)
     for start in range(0, len(corners), batch_size):
         chunk = corners[start:start + batch_size]
         up = _prepare_windows(section, chunk)
@@ -299,11 +302,7 @@ def tile_predict(model, section, stride=REAL_PATCH_STRIDE, batch_size=64):
         down = bilinear_resize(prob.astype(np.float64), src, src)
         for i, (y, x) in enumerate(chunk):
             prob_sum[y:y + src, x:x + src] += down[i]
-            hits[y:y + src, x:x + src] += 1.0
-    covered = hits > 0
-    out = np.zeros((h, w), dtype=np.float64)
-    out[covered] = prob_sum[covered] / hits[covered]
-    return np.clip(out, 0.0, 1.0)
+    return np.clip(np.divide(prob_sum, hits, out=prob_sum, where=hits > 0), 0.0, 1.0)
 
 
 def export_map(prob_map, path, fmt="pgm"):

@@ -24,11 +24,12 @@ import numpy as np
 from .errors import ConfigError, DataError, DimensionError, FormatError
 from .model import PATCH
 from .numcore import Prng
-from .pgm import read_pgm, write_pgm
 
 STRIDE = PATCH // 2
 
-DATASET_VERSION = 1
+DATASET_VERSION = 2
+# each Sample field, with the dataset file that holds it and its dtype
+_DATASET_FILES = {"image": ("images.f32", "<f4"), "mask": ("masks.u8", "u1")}
 
 
 @dataclass
@@ -308,28 +309,16 @@ def generate_dataset(config):
     return samples
 
 
-def _config_to_json(config):
-    d = asdict(config)
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in d.items()}
-
-
 def write_dataset(samples, directory, config=None):
-    """Persist samples as raw float32 images plus PGM masks and a manifest."""
+    """Persist samples as images.f32 and masks.u8, each written patch by
+    patch, then manifest.json; `read_dataset` gives the layout."""
     os.makedirs(directory, exist_ok=True)
-    manifest = {
-        "version": DATASET_VERSION,
-        "count": len(samples),
-        "patch": PATCH,
-        "config": _config_to_json(config) if config is not None else None,
-    }
-    for i, sample in enumerate(samples):
-        img_path = os.path.join(directory, "img_%06d.f32" % i)
-        with open(img_path, "wb") as fh:
-            fh.write(np.ascontiguousarray(sample.image, dtype="<f4").tobytes())
-        write_pgm(
-            os.path.join(directory, "msk_%06d.pgm" % i),
-            (sample.mask.astype(np.uint16) * 255).astype(np.uint8),
-        )
+    for field, (name, dtype) in _DATASET_FILES.items():
+        with open(os.path.join(directory, name), "wb") as fh:
+            for sample in samples:
+                fh.write(np.ascontiguousarray(getattr(sample, field), dtype).tobytes())
+    manifest = {"version": DATASET_VERSION, "count": len(samples), "patch": PATCH,
+                "config": asdict(config) if config is not None else None}
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -339,8 +328,31 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _read_patches(directory, field, count, what, ok):
+    """The (count, PATCH, PATCH) array in the file holding `field`, its size
+    checked before anything is allocated; the first patch not `ok` is named."""
+    name, dtype = _DATASET_FILES[field]
+    path = os.path.join(directory, name)
+    if not os.path.isfile(path):
+        raise FormatError("%s: missing" % path)
+    expected = count * PATCH * PATCH * np.dtype(dtype).itemsize
+    if os.path.getsize(path) != expected:
+        raise FormatError("%s: %d bytes, expected %d for %d patches"
+                          % (path, os.path.getsize(path), expected, count))
+    patches = np.fromfile(path, dtype).reshape(count, PATCH, PATCH)
+    bad = ~ok(patches)
+    if bad.any():
+        raise FormatError("%s: patch %d has %s" % (path, np.argmax(bad), what))
+    return patches
+
+
 def read_dataset(directory):
-    """Load a dataset directory back into samples plus its manifest."""
+    """Load a dataset directory back into samples plus its manifest.
+
+    The samples are rows of the (count, PATCH, PATCH) arrays in images.f32
+    (little-endian float32) and masks.u8 (bytes 0 or 1). Another format
+    version is rejected: `seishet gen` with its config rewrites the patches.
+    """
     man_path = os.path.join(directory, "manifest.json")
     if not os.path.isfile(man_path):
         raise FormatError("%s: no manifest.json" % directory)
@@ -351,6 +363,10 @@ def read_dataset(directory):
         raise FormatError("%s: malformed manifest: %s" % (man_path, exc))
     if not isinstance(manifest, dict):
         raise FormatError("%s: manifest is not a JSON object" % man_path)
+    version = manifest.get("version")
+    if not _is_int(version) or version != DATASET_VERSION:
+        raise FormatError("%s: dataset format version %r, not %d; run `seishet gen`"
+                          " again to rewrite it" % (man_path, version, DATASET_VERSION))
     count = manifest.get("count")
     patch = manifest.get("patch", PATCH)
     if not _is_int(count) or count < 0:
@@ -360,29 +376,10 @@ def read_dataset(directory):
                           % (man_path, patch, PATCH))
     if count == 0:
         raise DataError("%s: dataset is empty" % directory)
-    samples = []
-    for i in range(count):
-        img_path = os.path.join(directory, "img_%06d.f32" % i)
-        msk_path = os.path.join(directory, "msk_%06d.pgm" % i)
-        for path in (img_path, msk_path):
-            if not os.path.isfile(path):
-                raise FormatError("%s: missing" % path)
-        with open(img_path, "rb") as fh:
-            raw = fh.read()
-        if len(raw) != 4 * PATCH * PATCH:
-            raise FormatError(
-                "%s: %d bytes, expected %d" % (img_path, len(raw), 4 * PATCH * PATCH)
-            )
-        img = np.frombuffer(raw, dtype="<f4").reshape(PATCH, PATCH).copy()
-        if not np.isfinite(img).all():
-            raise FormatError("%s: non-finite pixel values" % img_path)
-        msk = read_pgm(msk_path)
-        if msk.shape != (PATCH, PATCH):
-            raise FormatError(
-                "%s: mask is %s, expected %s" % (msk_path, msk.shape, (PATCH, PATCH))
-            )
-        bad = ~np.isin(msk, (0, 255))
-        if bad.any():
-            raise FormatError("%s: mask bytes must be 0 or 255" % msk_path)
-        samples.append(Sample(img, (msk > 0).astype(np.uint8)))
-    return samples, manifest
+    # per-patch extremes make no per-pixel flags, and a NaN carries through them
+    images = _read_patches(directory, "image", count, "non-finite pixel values",
+                           lambda p: np.isfinite(p.min(axis=(1, 2)))
+                           & np.isfinite(p.max(axis=(1, 2))))
+    masks = _read_patches(directory, "mask", count, "mask bytes other than 0 or 1",
+                          lambda p: p.max(axis=(1, 2)) <= 1)
+    return [Sample(image, mask) for image, mask in zip(images, masks)], manifest

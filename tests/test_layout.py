@@ -94,11 +94,10 @@ _LIBRARY_VALUES = {
 }
 
 # Flags that keep a default of their own. --seed's None falls back to
-# SEISHET_SEED. predict's coverage line needs the stride, which defaults to
-# segy.REAL_PATCH_STRIDE, and None marks --height, --width and --line as
+# SEISHET_SEED, and None marks predict's --height, --width and --line as
 # not given: each is needed with only one of --raw and --segy.
 _OWN_DEFAULTS = {"gen": {"seed"}, "train": {"seed"}, "finetune": {"seed"},
-                 "predict": {"stride", "height", "width", "line"}}
+                 "predict": {"height", "width", "line"}}
 
 
 def test_cli_flags_leave_library_values_to_the_library():
@@ -122,3 +121,16 @@ def test_cli_flags_leave_the_range_of_library_values_to_the_library():
                          and action.type not in (int, float, None))
         assert checked == [], "%s flags range-checked while parsing: %s" % (
             argv[0], checked)
+
+
+def test_train_and_finetune_share_one_declaration_of_their_common_flags():
+    """--epochs --lr --batch --seed --count-limit --log --pos-weight are the
+    same action objects in both, so types, defaults and help cannot drift."""
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    train, finetune = ({flag: action for action in commands[name]._actions
+                        for flag in action.option_strings}
+                       for name in ("train", "finetune"))
+    same = {flag for flag in set(train) & set(finetune) if train[flag] is finetune[flag]}
+    assert same == {"--epochs", "--lr", "--batch", "--seed", "--count-limit", "--log",
+                    "--pos-weight"}

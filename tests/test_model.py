@@ -499,6 +499,20 @@ def test_all_frozen_walk_scores_the_cached_logits(net_and_batch):
     model.set_freeze_prefix(0)
 
 
+@pytest.mark.parametrize("start", [0, 3])
+def test_an_empty_batch_is_a_dimension_error(net_and_batch, start):
+    """forward and a training step reject a batch of no patches, at the
+    input and at a later step, and leave the OpenBLAS thread count as is."""
+    model, x, y = net_and_batch
+    threads = blas_threads()
+    empty = model.forward(x, stop=start)[:0]
+    with pytest.raises(DimensionError, match="no patch"):
+        model.forward(empty, start=start)
+    with pytest.raises(DimensionError, match="no patch"):
+        model.loss_and_grads(empty, y[:0], start=start)
+    assert blas_threads() == threads
+
+
 @pytest.mark.parametrize("variant", ["se", "self_attention"])
 @pytest.mark.parametrize("field,value", [("se_ratio", 0), ("heads", 0),
                                          ("d_k", 4097)])

@@ -142,7 +142,7 @@ def test_checkpoint_parser_fuzz_raises_only_seishet_errors(
 
 # ---------------------------------------------------------------- dataset
 
-_DATASET_FILES = ("manifest.json", "img_000000.f32", "msk_000001.pgm")
+_DATASET_FILES = ("manifest.json", "images.f32", "masks.u8")
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.ndimage import binary_dilation
 from conftest import normalize_patch
 from seishet.errors import ConfigError, DataError, DimensionError, FormatError
 from seishet.numcore import Prng
+from seishet.pgm import write_pgm
 from seishet.synthgen import (
     SyntheticConfig,
     _dilate_square,
@@ -420,13 +422,20 @@ def test_read_dataset_closes_its_files(tmp_path):
 
 
 def test_dataset_round_trip(tmp_path):
+    """images.f32 and masks.u8 hold the patches one after another."""
     cfg = SyntheticConfig(height=44, width=44, sections=4, seed=9)
     samples = generate_dataset(cfg)
     d = str(tmp_path / "ds")
     write_dataset(samples, d, cfg)
     loaded, manifest = read_dataset(d)
+    assert sorted(os.listdir(d)) == ["images.f32", "manifest.json", "masks.u8"]
+    assert manifest["version"] == 2
     assert manifest["count"] == len(samples) == len(loaded)
     assert manifest["config"]["seed"] == 9
+    with open(os.path.join(d, "images.f32"), "rb") as fh:
+        assert fh.read() == b"".join(s.image.astype("<f4").tobytes() for s in samples)
+    with open(os.path.join(d, "masks.u8"), "rb") as fh:
+        assert fh.read() == b"".join(s.mask.astype(np.uint8).tobytes() for s in samples)
     for a, b in zip(samples, loaded):
         np.testing.assert_array_equal(a.image, b.image)
         np.testing.assert_array_equal(a.mask, b.mask)
@@ -438,16 +447,24 @@ def test_dataset_errors(tmp_path):
     d = str(tmp_path / "ds")
     write_dataset(samples, d, cfg)
 
-    with pytest.raises(FormatError, match="img_000001"):
-        with open(os.path.join(d, "img_000001.f32"), "ab") as fh:
+    with pytest.raises(FormatError, match="images.f32"):
+        with open(os.path.join(d, "images.f32"), "ab") as fh:
             fh.write(b"\x00\x00\x00\x00")
         read_dataset(d)
     write_dataset(samples, d, cfg)
 
-    with pytest.raises(FormatError, match="msk_000000"):
-        path = os.path.join(d, "msk_000000.pgm")
+    for word in (0x7FC00000, 0x7F800000, 0xFF800000):  # NaN, +inf, -inf
+        with pytest.raises(FormatError, match="images.f32: patch 1 has non-finite"):
+            with open(os.path.join(d, "images.f32"), "r+b") as fh:
+                fh.seek(4 * (44 * 44 + 300))  # inside patch 1
+                fh.write(word.to_bytes(4, "little"))
+            read_dataset(d)
+        write_dataset(samples, d, cfg)
+
+    with pytest.raises(FormatError, match="masks.u8: patch 1 has mask bytes"):
+        path = os.path.join(d, "masks.u8")
         blob = bytearray(open(path, "rb").read())
-        blob[-1] = 7  # neither 0 nor 255
+        blob[-1] = 7  # neither 0 nor 1
         open(path, "wb").write(bytes(blob))
         read_dataset(d)
     write_dataset(samples, d, cfg)
@@ -456,7 +473,7 @@ def test_dataset_errors(tmp_path):
     meta = json.load(open(man))
     meta["count"] = 5
     json.dump(meta, open(man, "w"))
-    with pytest.raises(FormatError, match="missing"):
+    with pytest.raises(FormatError, match="expected .* for 5 patches"):
         read_dataset(d)
 
     meta["count"] = 0
@@ -468,10 +485,72 @@ def test_dataset_errors(tmp_path):
         read_dataset(str(tmp_path / "nowhere"))
 
 
+def _dataset(tmp_path, seed, sections=2):
+    cfg = SyntheticConfig(height=44, width=44, sections=sections, seed=seed)
+    d = str(tmp_path / "ds")
+    write_dataset(generate_dataset(cfg), d, cfg)
+    return d
+
+
+def test_read_dataset_rejects_a_version_1_directory(tmp_path):
+    """The per-patch layout of format version 1 is not read: gen, which its
+    manifest's config repeats, writes the same patches as version 2."""
+    d = tmp_path / "v1"
+    d.mkdir()
+    manifest = {"version": 1, "count": 1, "patch": 44, "config": None}
+    (d / "manifest.json").write_text(json.dumps(manifest))
+    (d / "img_000000.f32").write_bytes(np.zeros((44, 44), "<f4").tobytes())
+    write_pgm(d / "msk_000000.pgm", np.zeros((44, 44), np.uint8))
+    with pytest.raises(FormatError, match=r"version 1, not 2; run `seishet gen` again"):
+        read_dataset(str(d))
+
+
+@pytest.mark.parametrize("value", [2, 255])
+def test_read_dataset_rejects_a_mask_byte_other_than_0_or_1(tmp_path, value):
+    d = _dataset(tmp_path, 13)
+    path = os.path.join(d, "masks.u8")
+    with open(path, "r+b") as fh:
+        fh.seek(44 * 44 + 100)  # inside patch 1
+        fh.write(bytes([value]))
+    with pytest.raises(FormatError,
+                       match="masks.u8: patch 1 has mask bytes other than 0 or 1"):
+        read_dataset(d)
+
+
+def test_read_dataset_rejects_a_huge_count_before_allocating(tmp_path):
+    d = _dataset(tmp_path, 15)
+    man = os.path.join(d, "manifest.json")
+    with open(man) as fh:
+        meta = json.load(fh)
+    meta["count"] = 2 ** 40
+    with open(man, "w") as fh:
+        json.dump(meta, fh)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="for %d patches" % 2 ** 40):
+            read_dataset(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_a_smaller_dataset_written_over_a_larger_one_reads_back(tmp_path):
+    _dataset(tmp_path, 16, sections=4)
+    d = _dataset(tmp_path, 17, sections=1)
+    samples, manifest = read_dataset(d)
+    assert manifest["count"] == len(samples) == 1
+    want = generate_dataset(SyntheticConfig(height=44, width=44, sections=1, seed=17))
+    assert all(a.image.tobytes() == b.image.tobytes() and np.array_equal(a.mask, b.mask)
+               for a, b in zip(want, samples))
+
+
 @pytest.mark.parametrize("field,value", [
     ("patch", "44"), ("patch", 44.0), ("patch", [44]), ("patch", None),
     ("patch", True), ("patch", 0), ("patch", -44), ("patch", 32),
     ("count", True), ("count", "2"), ("count", 2.0), ("count", None),
+    ("version", 1), ("version", 3), ("version", "2"), ("version", 2.0),
+    ("version", True), ("version", None),
 ])
 def test_read_dataset_rejects_non_integer_manifest_fields(tmp_path, field, value):
     cfg = SyntheticConfig(height=44, width=44, sections=2, seed=11)
@@ -490,8 +569,12 @@ def test_read_dataset_rejects_non_integer_manifest_fields(tmp_path, field, value
 @pytest.mark.parametrize("target,damage,match", [
     ("manifest.json", lambda b: b"\xff" + b, "malformed manifest"),
     ("manifest.json", lambda b: b"[1, 2]", "not a JSON object"),
-    ("img_000001.f32", lambda b: b[:8] + b"\x00\x00\xc0\x7f" + b[12:], "non-finite"),
-    ("msk_000000.pgm", None, "msk_000000.pgm: missing"),
+    ("images.f32", lambda b: b[:8] + b"\x00\x00\xc0\x7f" + b[12:], "non-finite"),
+    ("masks.u8", None, "masks.u8: missing"),
+    ("images.f32", lambda b: b[:-1], "images.f32: 15487 bytes, expected 15488 for 2"),
+    ("images.f32", lambda b: b + b"\x00", "images.f32: 15489 bytes, expected 15488 for 2"),
+    ("masks.u8", lambda b: b[:-1], "masks.u8: 3871 bytes, expected 3872 for 2"),
+    ("masks.u8", lambda b: b + b"\x00", "masks.u8: 3873 bytes, expected 3872 for 2"),
 ])
 def test_read_dataset_rejects_damaged_files(tmp_path, target, damage, match):
     cfg = SyntheticConfig(height=44, width=44, sections=2, seed=12)
