@@ -3,27 +3,24 @@
 Exit codes: 0 success; 2 when argparse cannot parse the command line (an
 unknown or missing flag, a token that is not a number or not a choice);
 1 when a parsed value is rejected or the run fails, told in one
-``seishet: error: ...`` line on stderr. A flag that sets a library value
-has no default or range check here: the library supplies the one and
-makes the other. No library function takes --count-limit or eval's
---threshold, so only they are range-checked while parsing (exit 2).
-Every subcommand takes ``--seed``; when absent the SEISHET_SEED
-environment variable is used, then 0.
+``seishet: error: ...`` line on stderr. This module only parses flags: a
+flag that sets a library value has no default or range check here, since
+the library supplies the one and makes the other, and every file is read
+by the library. gen, train and finetune take ``--seed``; when absent the
+SEISHET_SEED environment variable is used, then 0.
 """
 
 import argparse
-import copy
 import functools
 import inspect
 import os
 import re
 import sys
-import warnings
 from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, SeishetError
+from .errors import ConfigError, SeishetError
 from .metrics import evaluate, format_table, report_from_counts, to_json
 from .model import (
     FLOP_CONVENTION,
@@ -39,10 +36,11 @@ from .model import (
     save_checkpoint,
 )
 from .numcore import Prng
-from .pgm import read_pgm, read_pgm_with_maxval
+from .pgm import read_pgm
 from .segy import (
     export_map,
     open_volume,
+    read_map,
     read_raw_section,
     read_section,
     tile_predict,
@@ -63,26 +61,6 @@ ATTENTION_CHOICES = {"se": "se", "self": "self_attention"}
 _NEGATIVE_NUMBER = re.compile(r"^-\d*\.?\d+(e[-+]?\d+)?$", re.I)
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("%r is not an integer" % text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
-
-
-def _threshold(text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("%r is not a number" % text)
-    if not 0.0 <= value <= 1.0:  # also false for nan
-        raise argparse.ArgumentTypeError("must lie in [0, 1], got %s" % text)
-    return value
-
-
 def _resolve_seed(value):
     if value is not None:
         return value
@@ -96,13 +74,15 @@ def _resolve_seed(value):
 
 
 def _given(args, target):
-    """The flags given that set a parameter of `target`, a function or a
-    config class, by name; two-number ranges become tuples.
+    """The flags given that set an optional parameter of `target`, a
+    function or a config class, by name; two-number ranges become tuples.
 
     A flag's dest is the name of the value it sets, and an omitted flag is
-    absent from args. --seed, resolved on its own, is left out.
+    absent from args. --seed, resolved on its own, is left out, and so is a
+    parameter with no default, such as the data a function is handed.
     """
-    names = inspect.signature(target).parameters
+    names = {name for name, param in inspect.signature(target).parameters.items()
+             if param.default is not param.empty}
     return {name: tuple(value) if isinstance(value, list) else value
             for name, value in vars(args).items()
             if name in names and name != "seed"}
@@ -118,13 +98,6 @@ def cmd_gen(args):
         % (len(samples), config.sections, seed, args.out)
     )
     return 0
-
-
-def _load_samples(args):
-    """The first --count-limit samples, copied so that the rest is freed."""
-    samples = read_dataset(args.data)[0]
-    kept = samples[:args.count_limit]
-    return copy.deepcopy(kept) if len(kept) < len(samples) else kept
 
 
 def _fit(fit, base, model, samples, args, master, heldout=None):
@@ -152,7 +125,7 @@ def _fit(fit, base, model, samples, args, master, heldout=None):
 
 
 def cmd_train(args):
-    samples = _load_samples(args)
+    samples = read_dataset(args.data, **_given(args, read_dataset))[0]
     master = Prng(_resolve_seed(args.seed))
     train_set, test_set = split_dataset(samples, seed=master.derive(1).seed,
                                         **_given(args, split_dataset))
@@ -176,7 +149,7 @@ def cmd_finetune(args):
                 "checkpoint variant %r does not match --attention %s"
                 % (model.variant, args.attention)
             )
-    samples = _load_samples(args)
+    samples = read_dataset(args.data, **_given(args, read_dataset))[0]
     model, _ = _fit(finetune, FINETUNE_RECIPE, model, samples, args,
                     Prng(_resolve_seed(args.seed)))
     frozen = [name for name, flag in model.freeze.items() if flag]
@@ -211,32 +184,10 @@ def cmd_predict(args):
     return 0
 
 
-def _load_map(path):
-    """A [0, 1] confidence map: a PGM by its P5 magic, scaled by its maxval, or a CSV."""
-    with open(path, "rb") as fh:
-        magic = fh.read(2)
-    if magic == b"P5":
-        pixels, maxval = read_pgm_with_maxval(path)
-        return pixels.astype(np.float64) / maxval
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # no data: rejected below
-        try:
-            data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            raise FormatError("%s: not a CSV confidence map: %s" % (path, exc))
-    if data.size == 0:
-        raise FormatError("%s: no values" % path)
-    if not np.isfinite(data).all():
-        raise FormatError("%s: non-finite confidence values" % path)
-    if data.min() < 0.0 or data.max() > 1.0:
-        raise FormatError("%s: confidence values must lie in [0, 1]" % path)
-    return data
-
-
 def cmd_eval(args):
-    pred = (_load_map(args.pred) >= args.threshold).astype(np.uint8)
+    pred = read_map(args.pred)
     truth = (read_pgm(args.truth) > 0).astype(np.uint8)
-    report = evaluate(pred, truth)
+    report = evaluate(pred, truth, **_given(args, evaluate))
     print(format_table(report))
     print(to_json(report))
     return 0
@@ -334,7 +285,7 @@ def build_parser():
     fit.add_argument("--lr", type=float, dest="learning_rate", metavar="LR")
     fit.add_argument("--batch", type=int, dest="batch_size", metavar="BATCH")
     fit.add_argument("--seed", type=int, default=None)
-    fit.add_argument("--count-limit", type=_positive_int, default=None,
+    fit.add_argument("--count-limit", type=int, dest="limit", metavar="COUNT_LIMIT",
                      help="use only the first N samples")
     fit.add_argument("--log", default=None, help="write per-epoch lines here")
     fit.add_argument("--pos-weight", type=float,
@@ -395,7 +346,7 @@ def build_parser():
     p = command("eval", help="score a confidence map against a mask")
     p.add_argument("--pred", required=True, help="PGM or CSV confidence map")
     p.add_argument("--truth", required=True, help="PGM ground-truth mask")
-    p.add_argument("--threshold", type=_threshold, default=0.5,
+    p.add_argument("--threshold", type=float,
                    help="confidence at or above which a pixel is positive")
     p.set_defaults(func=cmd_eval)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, LabelError
+from .errors import ConfigError, DimensionError, LabelError
 
 
 @dataclass
@@ -80,9 +80,18 @@ def report_from_counts(counts):
     return MetricsReport(iou, precision, recall, f1, counts)
 
 
-def evaluate(pred, truth):
-    """MetricsReport for a predicted binary mask against ground truth."""
-    return report_from_counts(confusion_counts(pred, truth))
+def evaluate(pred, truth, threshold=0.5):
+    """MetricsReport for a [0, 1] confidence map against a ground-truth mask.
+
+    A pixel is predicted positive when its confidence is at or above
+    `threshold`, so a 0/1 mask scores as itself.
+    """
+    if not 0.0 <= threshold <= 1.0:  # also false for nan
+        raise ConfigError("threshold must lie in [0, 1], got %g" % threshold)
+    pred = np.asarray(pred)
+    if not ((pred >= 0) & (pred <= 1)).all():  # also false for nan
+        raise LabelError("predicted confidence values must lie in [0, 1]")
+    return report_from_counts(confusion_counts(pred >= threshold, truth))
 
 
 def format_table(report):

@@ -17,6 +17,7 @@ mask_<axis><line>.pgm on the same grid.
 """
 
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +25,12 @@ import numpy as np
 from .errors import (
     ConfigError,
     DimensionError,
+    EvaluationError,
     FormatError,
     LineNotFoundError,
 )
 from .model import PATCH, channel_softmax
-from .pgm import read_pgm, write_pgm
+from .pgm import read_pgm, read_pgm_with_maxval, write_pgm
 from .synthgen import Sample, normalize_windows, window_corners
 
 TRACE_HEADER_LEN = 240
@@ -306,10 +308,13 @@ def tile_predict(model, section, stride=REAL_PATCH_STRIDE, batch_size=64):
 
 
 def export_map(prob_map, path, fmt="pgm"):
-    """Write a [0,1] confidence map as PGM bytes or CSV floats."""
+    """Write a [0,1] confidence map as PGM bytes or CSV floats; `read_map`
+    reads either back."""
     prob_map = np.asarray(prob_map, dtype=np.float64)
     if prob_map.ndim != 2:
         raise DimensionError("confidence map must be 2D")
+    if not np.isfinite(prob_map).all():
+        raise EvaluationError("confidence map holds non-finite values")
     if prob_map.min(initial=0.0) < -1e-9 or prob_map.max(initial=0.0) > 1.0 + 1e-9:
         raise DimensionError("confidence map values must lie in [0, 1]")
     if fmt == "pgm":
@@ -318,6 +323,28 @@ def export_map(prob_map, path, fmt="pgm"):
         np.savetxt(path, prob_map, fmt="%.6f", delimiter=",")
     else:
         raise ConfigError("unknown export format %r (want pgm or csv)" % fmt)
+
+
+def read_map(path):
+    """A [0, 1] confidence map: a PGM by its P5 magic, scaled by its maxval, or a CSV."""
+    with open(path, "rb") as fh:
+        magic = fh.read(2)
+    if magic == b"P5":
+        pixels, maxval = read_pgm_with_maxval(path)
+        return pixels.astype(np.float64) / maxval
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data: rejected below
+        try:
+            data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise FormatError("%s: not a CSV confidence map: %s" % (path, exc))
+    if data.size == 0:
+        raise FormatError("%s: no values" % path)
+    if not np.isfinite(data).all():
+        raise FormatError("%s: non-finite confidence values" % path)
+    if data.min() < 0.0 or data.max() > 1.0:
+        raise FormatError("%s: confidence values must lie in [0, 1]" % path)
+    return data
 
 
 def mask_filename(axis, line):

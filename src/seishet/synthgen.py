@@ -328,9 +328,10 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _read_patches(directory, field, count, what, ok):
-    """The (count, PATCH, PATCH) array in the file holding `field`, its size
-    checked before anything is allocated; the first patch not `ok` is named."""
+def _read_patches(directory, field, count, kept, what, ok):
+    """The first `kept` patches, as a (kept, PATCH, PATCH) array, of the file
+    holding `field`, whose size is checked against `count` before anything
+    is allocated; the first kept patch not `ok` is named."""
     name, dtype = _DATASET_FILES[field]
     path = os.path.join(directory, name)
     if not os.path.isfile(path):
@@ -339,20 +340,25 @@ def _read_patches(directory, field, count, what, ok):
     if os.path.getsize(path) != expected:
         raise FormatError("%s: %d bytes, expected %d for %d patches"
                           % (path, os.path.getsize(path), expected, count))
-    patches = np.fromfile(path, dtype).reshape(count, PATCH, PATCH)
+    patches = np.fromfile(path, dtype, count=kept * PATCH * PATCH)
+    patches = patches.reshape(kept, PATCH, PATCH)
     bad = ~ok(patches)
     if bad.any():
         raise FormatError("%s: patch %d has %s" % (path, np.argmax(bad), what))
     return patches
 
 
-def read_dataset(directory):
+def read_dataset(directory, limit=None):
     """Load a dataset directory back into samples plus its manifest.
 
     The samples are rows of the (count, PATCH, PATCH) arrays in images.f32
-    (little-endian float32) and masks.u8 (bytes 0 or 1). Another format
-    version is rejected: `seishet gen` with its config rewrites the patches.
+    (little-endian float32) and masks.u8 (bytes 0 or 1). With `limit`, only
+    the first `limit` patches are read and checked; each file's size must
+    still match the manifest's count. Another format version is rejected:
+    `seishet gen` with its config rewrites the patches.
     """
+    if limit is not None and (not _is_int(limit) or limit < 1):
+        raise ConfigError("limit must be an integer of at least 1, got %r" % (limit,))
     man_path = os.path.join(directory, "manifest.json")
     if not os.path.isfile(man_path):
         raise FormatError("%s: no manifest.json" % directory)
@@ -376,10 +382,12 @@ def read_dataset(directory):
                           % (man_path, patch, PATCH))
     if count == 0:
         raise DataError("%s: dataset is empty" % directory)
+    kept = count if limit is None else min(limit, count)
     # per-patch extremes make no per-pixel flags, and a NaN carries through them
-    images = _read_patches(directory, "image", count, "non-finite pixel values",
+    images = _read_patches(directory, "image", count, kept, "non-finite pixel values",
                            lambda p: np.isfinite(p.min(axis=(1, 2)))
                            & np.isfinite(p.max(axis=(1, 2))))
-    masks = _read_patches(directory, "mask", count, "mask bytes other than 0 or 1",
+    masks = _read_patches(directory, "mask", count, kept,
+                          "mask bytes other than 0 or 1",
                           lambda p: p.max(axis=(1, 2)) <= 1)
     return [Sample(image, mask) for image, mask in zip(images, masks)], manifest

@@ -13,7 +13,8 @@ from conftest import write_raw_section, write_segy
 from seishet import cli
 from seishet import train as train_module
 from seishet.metrics import evaluate
-from seishet.model import build_network, count_params_flops, load_checkpoint
+from seishet.model import (build_network, count_params_flops, load_checkpoint,
+                           save_checkpoint)
 from seishet.numcore import Prng
 from seishet.pgm import read_pgm, write_pgm
 from seishet.train import FINETUNE_RECIPE
@@ -381,6 +382,26 @@ def test_predict_raw_rejects_non_finite_amplitudes(workspace, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["pgm", "csv"])
+def test_predict_rejects_a_map_the_model_overflowed(tmp_path, fmt):
+    """Finite weights of 3e38 overflow to NaN confidences; no map is written."""
+    model = build_network("se", Prng(1))
+    params = model.named_parameters()
+    params["up2.weight"][...] = 3e38
+    params["head.weight"][...] = 3e38
+    ckpt = tmp_path / "overflow.ckpt"
+    save_checkpoint(model, ckpt)
+    section = tmp_path / "sec.f32"
+    write_raw_section(Prng(2).normal(0.0, 1.0, (30, 30)), section)
+    out = tmp_path / ("m." + fmt)
+    r = run_cli("predict", "--ckpt", ckpt, "--raw", section, "--height", "30",
+                "--width", "30", "--out", out, "--format", fmt)
+    assert r.returncode == 1
+    assert r.stderr.splitlines()[-1] == (
+        "seishet: error: confidence map holds non-finite values")
+    assert not out.exists()
+
+
 def test_predict_source_flags_are_exclusive(workspace, raw_section, tmp_path):
     r = run_cli("predict", "--ckpt", workspace["ckpt"], "--raw", raw_section,
                 "--segy", "x.sgy", "--out", tmp_path / "m.pgm")
@@ -417,11 +438,14 @@ _OUT_OF_RANGE = [
     ("train", "--epochs", "-1"), ("train", "--batch", "-2"),
     ("train", "--split", "1.5"), ("train", "--se-ratio", "4097"),
     ("train", "--heads", "0"), ("train", "--dk", "4097"), ("train", "--dv", "-1"),
+    ("train", "--count-limit", "0"),
     ("finetune", "--epochs", "0"), ("finetune", "--batch", "-3"),
-    ("finetune", "--freeze-prefix", "-1"),
+    ("finetune", "--freeze-prefix", "-1"), ("finetune", "--count-limit", "-3"),
     ("predict", "--height", "-2"), ("predict", "--width", "-3"),
     ("predict", "--inline-byte", "0"), ("predict", "--crossline-byte", "-1"),
     ("predict", "--stride", "0"), ("predict", "--batch", "-1"),
+    ("eval", "--threshold", "1.5"), ("eval", "--threshold", "-1"),
+    ("eval", "--threshold", "nan"), ("eval", "--threshold", "inf"),
 ]
 
 
@@ -430,23 +454,27 @@ def test_out_of_range_value_exits_1_and_writes_nothing(workspace, raw_section,
                                                        tmp_path, command, flag,
                                                        value):
     out, log = tmp_path / "out", tmp_path / "log"
+    mask = tmp_path / "m.pgm"
+    write_pgm(mask, np.full((4, 4), 255, dtype=np.uint8))
     args = {
-        "gen": ["--count", "1", "--height", "44", "--width", "44"],
-        "train": ["--data", workspace["data"], "--epochs", "1", "--log", log],
-        "finetune": ["--ckpt", workspace["ckpt"], "--data", workspace["data"],
-                     "--epochs", "1", "--log", log],
-        "predict": ["--ckpt", workspace["ckpt"], "--raw", raw_section,
+        "gen": ["--out", out, "--count", "1", "--height", "44", "--width", "44"],
+        "train": ["--out", out, "--data", workspace["data"], "--epochs", "1",
+                  "--log", log],
+        "finetune": ["--out", out, "--ckpt", workspace["ckpt"],
+                     "--data", workspace["data"], "--epochs", "1", "--log", log],
+        "predict": ["--out", out, "--ckpt", workspace["ckpt"], "--raw", raw_section,
                     "--height", "30", "--width", "30"],
+        "eval": ["--pred", mask, "--truth", mask],
     }[command]
     if flag.endswith("-byte"):
         traces = [(1, xl, [0.5] * 24) for xl in range(20)]
-        args = ["--ckpt", workspace["ckpt"], "--line", "1",
+        args = ["--out", out, "--ckpt", workspace["ckpt"], "--line", "1",
                 "--segy", write_segy(tmp_path / "v.sgy", traces)]
-    r = run_cli(command, "--out", out, *args, flag, value)
+    r = run_cli(command, *args, flag, value)
     assert r.returncode == 1, r.stderr
     assert r.stderr.startswith("seishet: error: ") and r.stderr.count("\n") == 1
     assert re.search(r"(?<![\d.-])%s(?![\d.])" % re.escape(value), r.stderr)
-    assert not out.exists() and not log.exists()
+    assert not out.exists() and not log.exists() and r.stdout == ""
 
 
 def test_gen_reads_a_negative_bound_in_exponent_notation(tmp_path):
@@ -553,11 +581,13 @@ def test_eval_matches_library_scoring(tmp_path):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "1.5", "half"])
 def test_eval_rejects_a_threshold_outside_the_unit_interval(tmp_path, value):
+    """The library rejects a number out of range (exit 1); argparse, a
+    token that is not a number (exit 2)."""
     path = tmp_path / "m.pgm"
     write_pgm(path, np.full((4, 4), 255, dtype=np.uint8))
     r = run_cli("eval", "--pred", path, "--truth", path, "--threshold", value)
-    assert r.returncode == 2
-    assert "--threshold" in r.stderr and r.stdout == ""
+    assert r.returncode == (2 if value == "half" else 1)
+    assert "threshold" in r.stderr and r.stdout == ""
 
 
 @pytest.mark.parametrize("value", ["0", "0.5", "1"])

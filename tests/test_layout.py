@@ -80,24 +80,26 @@ def _names(*classes):
 
 
 # Each command with its required flags, and the library values its other
-# flags set: config fields, split_dataset's fraction, tile_predict's stride
-# and batch_size, read_raw_section's height and width, read_section's line
-# and open_volume's header bytes.
+# flags set: config fields, split_dataset's fraction, read_dataset's limit,
+# tile_predict's stride and batch_size, read_raw_section's height and width,
+# read_section's line, open_volume's header bytes and evaluate's threshold.
 _LIBRARY_VALUES = {
     ("gen", "--out", "d"): _names(SyntheticConfig),
     ("train", "--data", "d", "--out", "m"):
-        _names(TrainConfig, NetConfig) | {"fraction"},
-    ("finetune", "--ckpt", "c", "--data", "d", "--out", "m"): _names(TrainConfig),
+        _names(TrainConfig, NetConfig) | {"fraction", "limit"},
+    ("finetune", "--ckpt", "c", "--data", "d", "--out", "m"):
+        _names(TrainConfig) | {"limit"},
     ("predict", "--ckpt", "c", "--raw", "r", "--out", "o"):
         {"stride", "batch_size", "height", "width", "line", "inline_byte",
          "crossline_byte"},
+    ("eval", "--pred", "p", "--truth", "t"): {"threshold"},
 }
 
 # Flags that keep a default of their own. --seed's None falls back to
 # SEISHET_SEED, and None marks predict's --height, --width and --line as
 # not given: each is needed with only one of --raw and --segy.
 _OWN_DEFAULTS = {"gen": {"seed"}, "train": {"seed"}, "finetune": {"seed"},
-                 "predict": {"height", "width", "line"}}
+                 "predict": {"height", "width", "line"}, "eval": set()}
 
 
 def test_cli_flags_leave_library_values_to_the_library():

@@ -1,5 +1,5 @@
-"""PGM, checkpoint, dataset-directory, raw-section and CSV-map parsers
-under damaged bytes.
+"""PGM, checkpoint, dataset-directory, raw-section and confidence-map
+parsers under damaged bytes.
 
 Each property test flips, truncates and extends the bytes of a valid file
 and allows only two outcomes: a clean load of well-formed values, or a
@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import write_raw_section
-from seishet.cli import _load_map
 from seishet.errors import FormatError, SeishetError
 from seishet.model import build_network, load_checkpoint, save_checkpoint
 from seishet.numcore import Prng
 from seishet.pgm import read_pgm, write_pgm
-from seishet.segy import export_map, read_raw_section
+from seishet.segy import export_map, read_map, read_raw_section
 from seishet.synthgen import (
     SyntheticConfig,
     generate_dataset,
@@ -202,13 +201,34 @@ def test_raw_section_reader_fuzz_raises_only_seishet_errors(tmp_path_factory, ra
     assert np.isfinite(section).all()
 
 
-# ---------------------------------------------------------------- CSV map
+# ---------------------------------------------------------------- confidence map
+
+def _map_base(tmp_path_factory, fmt):
+    path = tmp_path_factory.mktemp(fmt) / ("base." + fmt)
+    export_map(Prng(93).uniform(0.0, 1.0, (4, 6)), str(path), fmt)
+    return path.read_bytes()
+
 
 @pytest.fixture(scope="module")
 def csv_base(tmp_path_factory):
-    path = tmp_path_factory.mktemp("csv") / "base.csv"
-    export_map(Prng(93).uniform(0.0, 1.0, (4, 6)), str(path), "csv")
-    return path.read_bytes()
+    return _map_base(tmp_path_factory, "csv")
+
+
+@pytest.fixture(scope="module")
+def pgm_map_base(tmp_path_factory):
+    return _map_base(tmp_path_factory, "pgm")
+
+
+def _assert_map_or_seishet_error(path):
+    """read_map gives a non-empty 2D float64 map in [0, 1] or a SeishetError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            data = read_map(str(path))
+        except SeishetError:
+            return
+    assert data.dtype == np.float64 and data.ndim == 2 and data.size > 0
+    assert np.isfinite(data).all() and data.min() >= 0.0 and data.max() <= 1.0
 
 
 # Bytes that keep a number parsable, end it early or change its meaning.
@@ -221,11 +241,14 @@ def test_csv_map_loader_fuzz_raises_only_seishet_errors(tmp_path_factory, csv_ba
                                                         flips, end):
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
     path.write_bytes(_damage(csv_base, flips, end))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            data = _load_map(str(path))
-        except SeishetError:
-            return
-    assert data.dtype == np.float64 and data.ndim == 2 and data.size > 0
-    assert np.isfinite(data).all() and data.min() >= 0.0 and data.max() <= 1.0
+    _assert_map_or_seishet_error(path)
+
+
+@_FUZZ
+@given(flips=st.lists(st.tuples(st.integers(), _BYTE), max_size=6), end=_END)
+def test_pgm_map_loader_fuzz_raises_only_seishet_errors(tmp_path_factory,
+                                                        pgm_map_base, flips, end):
+    """A damaged magic sends the bytes to the CSV branch, which must also hold."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+    path.write_bytes(_damage(pgm_map_base, flips, end))
+    _assert_map_or_seishet_error(path)

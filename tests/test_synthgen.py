@@ -16,6 +16,7 @@ from seishet.errors import ConfigError, DataError, DimensionError, FormatError
 from seishet.numcore import Prng
 from seishet.pgm import write_pgm
 from seishet.synthgen import (
+    Sample,
     SyntheticConfig,
     _dilate_square,
     add_noise,
@@ -590,3 +591,69 @@ def test_read_dataset_rejects_damaged_files(tmp_path, target, damage, match):
             fh.write(damage(blob))
     with pytest.raises(FormatError, match=match):
         read_dataset(d)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 5, 9])
+def test_read_dataset_limit_reads_the_first_rows_of_a_full_read(tmp_path, limit):
+    d = _dataset(tmp_path, 18, sections=5)
+    full, manifest = read_dataset(d)
+    kept, kept_manifest = read_dataset(d, limit=limit)
+    assert kept_manifest == manifest
+    assert len(kept) == min(limit, len(full))
+    for a, b in zip(full, kept):
+        assert a.image.tobytes() == b.image.tobytes()
+        assert a.mask.tobytes() == b.mask.tobytes()
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3])
+@pytest.mark.parametrize("target,cut", [("images.f32", -1), ("images.f32", 1),
+                                        ("masks.u8", -1), ("masks.u8", 1)])
+def test_read_dataset_checks_each_file_size_under_a_limit(tmp_path, limit, target,
+                                                         cut):
+    d = _dataset(tmp_path, 19)
+    path = os.path.join(d, target)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(blob[:cut] if cut < 0 else blob + bytes(cut))
+    with pytest.raises(FormatError, match="%s: %d bytes, expected %d for 2 patches"
+                       % (target, len(blob) + cut, len(blob))):
+        read_dataset(d, limit=limit)
+
+
+@pytest.mark.parametrize("target,offset,payload,what", [
+    ("images.f32", 4 * (2 * 44 * 44 + 300), b"\x00\x00\xc0\x7f", "non-finite"),
+    ("masks.u8", 2 * 44 * 44 + 300, b"\x07", "mask bytes other than 0 or 1"),
+])
+def test_read_dataset_checks_only_the_patches_it_keeps(tmp_path, target, offset,
+                                                       payload, what):
+    """A bad value in patch 2 passes under a limit of 2 and fails under 3."""
+    d = _dataset(tmp_path, 20, sections=4)
+    with open(os.path.join(d, target), "r+b") as fh:
+        fh.seek(offset)
+        fh.write(payload)
+    assert len(read_dataset(d, limit=2)[0]) == 2
+    with pytest.raises(FormatError, match="%s: patch 2 has %s" % (target, what)):
+        read_dataset(d, limit=3)
+
+
+def test_read_dataset_limit_of_one_allocates_about_one_patch(tmp_path):
+    d = str(tmp_path / "ds")
+    sample = Sample(np.zeros((44, 44), np.float32), np.zeros((44, 44), np.uint8))
+    write_dataset([sample] * 500, d)
+    patch_bytes = 44 * 44 * (4 + 1)
+    tracemalloc.start()
+    try:
+        samples, _ = read_dataset(d, limit=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == 1
+    assert peak < 4 * patch_bytes, peak
+
+
+@pytest.mark.parametrize("limit", [0, -1, True, 1.5])
+def test_read_dataset_rejects_a_limit_that_is_not_a_positive_integer(tmp_path, limit):
+    d = _dataset(tmp_path, 21)
+    with pytest.raises(ConfigError, match="limit must be an integer of at least 1"):
+        read_dataset(d, limit=limit)
